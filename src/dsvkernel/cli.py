@@ -2,8 +2,9 @@
 
 Subcommands: ``data generate``, ``kernel eval``, ``kernel gram``,
 ``simulate overlap``, ``train``, ``evaluate``, ``sweep``, ``boundary``.
-Results go to stdout as JSON or to files named by ``--out``; all randomness
-flows from ``--seed``.
+Results go to stdout as JSON or to files named by ``--out``.  ``--seed``
+drives data generation and train/test splits only; training is
+deterministic given the training rows.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
 4 I/O failure.
@@ -160,7 +161,7 @@ def _cmd_train(args) -> int:
     config = SvmConfig(c=args.c, tol=args.tol, max_passes=args.max_passes,
                        kernel=_kernel_config(args))
     dataset, train_ds, test_ds, chain = _build_training_frames(args)
-    model = train_multiclass(train_ds, config, args.seed)
+    model = train_multiclass(train_ds, config)
     converged = all(m.converged for _, m in model.machines)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -321,7 +321,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
             c=spec.c, tol=spec.tol, max_passes=spec.max_passes,
             kernel=KernelConfig.direct(gamma),
         )
-        model = train_multiclass(train_ds, config, spec.seed)
+        model = train_multiclass(train_ds, config)
         train_acc = accuracy(model, train_ds)
         test_acc = accuracy(model, test_ds)
         rows.append(

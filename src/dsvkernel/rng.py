@@ -1,9 +1,9 @@
 """Deterministic random numbers for reproducible experiments.
 
 All randomness in this package flows through :class:`SplitMix64`, a 64-bit
-generator with a fully specified update rule, so every dataset, split and
-optimizer sweep is reproducible from ``(seed, stream)`` alone and can be
-re-implemented bit-for-bit outside Python.
+generator with a fully specified update rule, so every dataset and split is
+reproducible from ``(seed, stream)`` alone and can be re-implemented
+bit-for-bit outside Python.
 
 State initialisation:  ``state0 = mix64(mix64(seed) + stream)``.
 Each draw advances ``state += 0x9E3779B97F4A7C15 (mod 2**64)`` and outputs

@@ -1,15 +1,17 @@
-"""Kernel support vector machine trained by sequential two-variable updates.
+"""Kernel support vector machine trained by a second-order working-set solver.
 
 The soft-margin dual
 
     maximize  sum(alpha) - 1/2 sum_pq alpha_p alpha_q y_p y_q K_pq
     subject to  0 <= alpha <= C  and  sum(alpha * y) = 0
 
-is solved on a precomputed Gram matrix by analytically optimizing one pair
-of dual variables at a time (Platt-style).  The first variable of each pair
-is drawn from a seeded random sweep over KKT violators; the second is chosen
-to maximize |E_i - E_j|, with seeded fallback scans when that step stalls.
-Convergence means no variable violates its KKT condition beyond ``tol``.
+is solved on a precomputed Gram matrix two variables at a time.  Each step
+takes the maximal violating variable as the first of the pair and picks the
+second by the second-order rule of Fan, Chen & Lin (2005, LIBSVM's WSS2),
+then optimizes the pair analytically; bounds are hit exactly.  Training
+stops when the maximal violation gap is at most 2 ``tol``, which is when
+some bias meets every KKT condition to within ``tol``.  No randomness is
+involved: training is deterministic given the Gram matrix and labels.
 
 Multiclass problems train one binary machine per class pair and predict by
 majority vote.  Trained models are immutable; prediction is pure and may run
@@ -33,25 +35,19 @@ from .errors import (
     InvalidInputError,
 )
 from .kernel import GramMatrix, KernelConfig, gram, gram_cross, kernel_vec
-from .rng import SplitMix64
 
-#: Dual variables at or below this value are treated as zero when support
-#: vectors are extracted.
-ALPHA_PRUNE = 1e-8
-
-#: Error caches are rebuilt from scratch this often to bound drift.
-CACHE_REBUILD_SWEEPS = 50
-
-#: RNG stream id for binary training sweeps; one-vs-one machines shift it.
-STREAM_SMO = 20
+#: Curvature used in place of a non-positive one (duplicate rows).
+TAU = 1e-12
 
 MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Box constraint, KKT tolerance, sweep budget and kernel choice.
+    """Box constraint, KKT tolerance, update budget and kernel choice.
 
+    Training stops once the maximal violation gap is at most 2 ``tol``, or
+    after ``max_passes`` times the number of training rows pair updates.
     C = 1e6 or larger effectively recovers a hard margin.
     """
 
@@ -107,198 +103,96 @@ class MulticlassModel:
     classes: tuple[int, ...]
 
 
-def _dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
+def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
+    """Maximize the dual on Gram ``K`` for +/-1 labels ``y``.
 
+    Keeps the gradient G = Q alpha - 1 of the minimization form, with
+    Q = (y y^T) * K.  Each step takes i = argmax of -y G over I_up and j by
+    the second-order rule argmin -b^2/a over I_low, then optimizes the pair
+    analytically, clipping any variable that leaves the box to exactly 0 or
+    C.  Stops when max over I_up of -y G minus min over I_low of -y G is at
+    most 2 tol, or after ``max_passes * len(y)`` pair updates.
 
-class _PairwiseOptimizer:
-    """Mutable SMO state; single use per training run."""
+    Returns ``(alpha, bias, converged, objective_history)``; the history has
+    the dual objective after every len(y) updates plus the final one.
+    """
+    m = len(y)
+    pos = y > 0
+    diag = np.diag(K)
+    alpha = np.zeros(m)
+    grad = -np.ones(m)
+    history = []
+    steps = 0
+    while True:
+        v = -y * grad
+        above_zero = alpha > 0.0
+        below_c = alpha < c
+        up = np.where(pos, below_c, above_zero)
+        low = np.where(pos, above_zero, below_c)
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        g_max = v_up[i]
+        g_min = np.where(low, v, np.inf).min()
+        converged = bool(g_max - g_min <= 2.0 * tol)
+        if converged or steps == max_passes * m:
+            break
+        b = g_max - v
+        a = diag + diag[i] - 2.0 * K[i]
+        a = np.where(a > 0.0, a, TAU)
+        j = int(np.argmin(np.where(low & (b > 0.0), -b * b / a, np.inf)))
 
-    def __init__(self, K, y, c, tol, max_passes, rng):
-        self.K = K
-        self.y = y
-        self.c = c
-        self.tol = tol
-        self.max_passes = max_passes
-        self.rng = rng
-        m = len(y)
-        self.alpha = np.zeros(m)
-        self.b = 0.0
-        self.errors = -y.astype(float)  # f(x) - y with f = 0
-        self.objective_history: list[float] = []
-
-    def _violations(self) -> np.ndarray:
-        r = self.errors * self.y
-        at_zero = self.alpha <= ALPHA_PRUNE
-        at_c = self.alpha >= self.c * (1.0 - 1e-8)
-        return ((r < -self.tol) & ~at_c) | ((r > self.tol) & ~at_zero)
-
-    def _step(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        alpha, y, K, c = self.alpha, self.y, self.K, self.c
-        ai, aj = alpha[i], alpha[j]
         yi, yj = y[i], y[j]
-        ei, ej = self.errors[i], self.errors[j]
+        ai, aj = alpha[i], alpha[j]
         if yi != yj:
-            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
-        else:
-            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        if hi - lo < 1e-12:
-            return False
-        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if curvature > 1e-12:
-            aj_new = aj + yj * (ei - ej) / curvature
-            aj_new = min(hi, max(lo, aj_new))
-        else:
-            # flat (duplicate rows): the pair objective is linear, move to an end
-            slope = yj * (ei - ej)
-            if slope > 1e-15:
-                aj_new = hi
-            elif slope < -1e-15:
-                aj_new = lo
+            delta = (-grad[i] - grad[j]) / a[j]
+            diff = ai - aj
+            new_i, new_j = ai + delta, aj + delta
+            if diff > 0.0:
+                if new_j < 0.0:
+                    new_i, new_j = diff, 0.0
+                if new_i > c:
+                    new_i, new_j = c, c - diff
             else:
-                return False
-        if abs(aj_new - aj) < 1e-12 * (aj_new + aj + 1e-12):
-            return False
-        ai_new = ai + yi * yj * (aj - aj_new)
-        ai_new = min(c, max(0.0, ai_new))
-        # land exactly on a bound when roundoff leaves us a hair away
-        snap = 1e-12 * max(1.0, c)
-        if ai_new < snap:
-            ai_new = 0.0
-        elif c - ai_new < snap:
-            ai_new = c
-        if aj_new < snap:
-            aj_new = 0.0
-        elif c - aj_new < snap:
-            aj_new = c
-        dai, daj = ai_new - ai, aj_new - aj
-
-        b1 = self.b - ei - yi * dai * K[i, i] - yj * daj * K[i, j]
-        b2 = self.b - ej - yi * dai * K[i, j] - yj * daj * K[j, j]
-        if 0.0 < ai_new < c:
-            b_new = b1
-        elif 0.0 < aj_new < c:
-            b_new = b2
+                if new_i < 0.0:
+                    new_i, new_j = 0.0, -diff
+                if new_j > c:
+                    new_i, new_j = c + diff, c
         else:
-            b_new = 0.5 * (b1 + b2)
+            delta = (grad[i] - grad[j]) / a[j]
+            total = ai + aj
+            new_i, new_j = ai - delta, aj + delta
+            if total > c:
+                if new_i > c:
+                    new_i, new_j = c, total - c
+                if new_j > c:
+                    new_i, new_j = total - c, c
+            else:
+                if new_j < 0.0:
+                    new_i, new_j = total, 0.0
+                if new_i < 0.0:
+                    new_i, new_j = 0.0, total
+        alpha[i], alpha[j] = new_i, new_j
+        grad += y * (K[i] * (yi * (new_i - ai)) + K[j] * (yj * (new_j - aj)))
+        steps += 1
+        if steps % m == 0:
+            history.append(_objective(alpha, grad))
+    history.append(_objective(alpha, grad))
 
-        self.errors += yi * dai * K[i] + yj * daj * K[j] + (b_new - self.b)
-        alpha[i], alpha[j] = ai_new, aj_new
-        self.b = b_new
-        return True
-
-    def _examine(self, i: int) -> bool:
-        r = self.errors[i] * self.y[i]
-        at_zero = self.alpha[i] <= ALPHA_PRUNE
-        at_c = self.alpha[i] >= self.c * (1.0 - 1e-8)
-        if not ((r < -self.tol and not at_c) or (r > self.tol and not at_zero)):
-            return False
-        m = len(self.y)
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c))
-        if len(non_bound) > 1:
-            gaps = np.abs(self.errors[non_bound] - self.errors[i])
-            gaps[non_bound == i] = -1.0
-            if self._step(i, int(non_bound[int(np.argmax(gaps))])):
-                return True
-        if len(non_bound):
-            start = self.rng.randbelow(len(non_bound))
-            for k in range(len(non_bound)):
-                j = int(non_bound[(start + k) % len(non_bound)])
-                if self._step(i, j):
-                    return True
-        start = self.rng.randbelow(m)
-        for k in range(m):
-            if self._step(i, (start + k) % m):
-                return True
-        return False
-
-    def _kkt_satisfiable(self) -> bool:
-        """Bias-independent convergence test.
-
-        KKT within tol holds for SOME bias iff the interval of biases allowed
-        by the margin inequalities is non-empty; the running b is only a
-        working value and may sit off-center.
-        """
-        g = (self.alpha * self.y) @ self.K
-        v = self.y - g
-        at_zero = self.alpha <= ALPHA_PRUNE
-        at_c = self.alpha >= self.c * (1.0 - 1e-8)
-        free = ~at_zero & ~at_c
-        pos, neg = self.y > 0, self.y < 0
-        lower = free | (at_zero & pos) | (at_c & neg)
-        upper = free | (at_zero & neg) | (at_c & pos)
-        b_lo = v[lower].max() - self.tol if lower.any() else -math.inf
-        b_hi = v[upper].min() + self.tol if upper.any() else math.inf
-        return b_lo <= b_hi
-
-    def _recenter_bias(self) -> None:
-        self.b = _extract_bias(self.alpha, self.y, self.K, self.c)
-        self.errors = (self.alpha * self.y) @ self.K + self.b - self.y
-
-    def run(self) -> bool:
-        m = len(self.y)
-        total_cap = max(50 * self.max_passes, 1000)
-        stalled = 0
-        previous = -math.inf
-        for sweep in range(1, total_cap + 1):
-            changed = 0
-            for i in self.rng.permutation(m):
-                if self._examine(int(i)):
-                    changed += 1
-            if sweep % CACHE_REBUILD_SWEEPS == 0:
-                self.errors = (self.alpha * self.y) @ self.K + self.b - self.y
-            objective = _dual_objective(self.alpha, self.K, self.y)
-            self.objective_history.append(objective)
-            if changed == 0:
-                if self._kkt_satisfiable():
-                    return True
-                # the pass is stalled against a badly placed running bias;
-                # recenter it and retry, or give up when that changes nothing
-                old_b = self.b
-                self._recenter_bias()
-                if abs(self.b - old_b) <= 1e-15 * (1.0 + abs(old_b)):
-                    return False
-            stalled = 0 if objective > previous + 1e-12 * (1.0 + abs(objective)) else stalled + 1
-            previous = objective
-            if stalled >= self.max_passes:
-                break
-        return self._kkt_satisfiable()
+    free = above_zero & below_c
+    bias = float(v[free].mean()) if free.any() else float(0.5 * (g_max + g_min))
+    return alpha, bias, converged, tuple(history)
 
 
-def _extract_bias(alpha: np.ndarray, y: np.ndarray, K: np.ndarray, c: float) -> float:
-    """Mean of y - g over free support vectors, else the midpoint of the
-    feasible bias interval implied by the bound variables."""
-    g = (alpha * y) @ K
-    at_upper = alpha >= c * (1.0 - 1e-8)
-    at_zero = alpha <= ALPHA_PRUNE
-    free = ~at_zero & ~at_upper
-    if free.any():
-        return float(np.mean(y[free] - g[free]))
-    v = y - g
-    lower_set = (at_zero & (y > 0)) | (at_upper & (y < 0))
-    upper_set = (at_zero & (y < 0)) | (at_upper & (y > 0))
-    lo = float(v[lower_set].max()) if lower_set.any() else -math.inf
-    hi = float(v[upper_set].min()) if upper_set.any() else math.inf
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi
-    if math.isinf(hi):
-        return lo
-    return 0.5 * (lo + hi)
+def _objective(alpha: np.ndarray, grad: np.ndarray) -> float:
+    return float(alpha.sum() - 0.5 * alpha @ (grad + 1.0))
 
 
 def train_binary(
     gram_matrix: GramMatrix,
     labels: np.ndarray,
     config: SvmConfig,
-    seed: int,
     features: np.ndarray,
     class_labels: tuple[int, int] = (-1, 1),
-    rng_stream: int = STREAM_SMO,
 ) -> SvmModel:
     """Train one binary machine on a precomputed Gram matrix.
 
@@ -321,15 +215,10 @@ def train_binary(
             f"gram gamma {gram_matrix.gamma} != kernel gamma {config.kernel.gamma}"
         )
 
-    optimizer = _PairwiseOptimizer(
-        gram_matrix.values, y, config.c, config.tol, config.max_passes,
-        SplitMix64(seed, rng_stream),
+    alpha, bias, converged, history = solve_dual(
+        gram_matrix.values, y, config.c, config.tol, config.max_passes
     )
-    converged = optimizer.run()
-    alpha = optimizer.alpha
-    bias = _extract_bias(alpha, y, gram_matrix.values, config.c)
-
-    keep = alpha > ALPHA_PRUNE
+    keep = alpha > 0.0
     return SvmModel(
         support_indices=np.flatnonzero(keep),
         alphas=alpha[keep],
@@ -339,7 +228,7 @@ def train_binary(
         labels=class_labels,
         kernel=config.kernel,
         converged=converged,
-        objective_history=tuple(optimizer.objective_history),
+        objective_history=history,
     )
 
 
@@ -375,11 +264,10 @@ def predict_binary(model: SvmModel, x: np.ndarray) -> int:
     return 1 if decision_value(model, x) >= 0.0 else -1
 
 
-def train_multiclass(data, config: SvmConfig, seed: int) -> MulticlassModel:
+def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
     """One-vs-one training over every class pair present in the data.
 
-    Within each pair the higher class index plays +1.  Machine k trains on
-    RNG stream STREAM_SMO + 1 + k so runs are deterministic given the seed.
+    Within each pair the higher class index plays +1.
     """
     labels = np.asarray(data.labels)
     features = np.asarray(data.features, dtype=float)
@@ -387,15 +275,12 @@ def train_multiclass(data, config: SvmConfig, seed: int) -> MulticlassModel:
     if len(classes) < 2:
         raise DegenerateLabelsError(f"need at least 2 classes, got {classes}")
     machines = []
-    for index, (neg, pos) in enumerate(combinations(classes, 2)):
+    for neg, pos in combinations(classes, 2):
         mask = (labels == neg) | (labels == pos)
         sub_features = features[mask]
         y = np.where(labels[mask] == pos, 1.0, -1.0)
         sub_gram = gram(sub_features, config.kernel.gamma)
-        model = train_binary(
-            sub_gram, y, config, seed, sub_features,
-            class_labels=(neg, pos), rng_stream=STREAM_SMO + 1 + index,
-        )
+        model = train_binary(sub_gram, y, config, sub_features, class_labels=(neg, pos))
         machines.append(((neg, pos), model))
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
 
@@ -421,10 +306,9 @@ def predict_multiclass_batch(model: MulticlassModel, points: np.ndarray) -> np.n
     the machines each tied class participates in, then to the lowest class."""
     points = np.asarray(points, dtype=float)
     votes, magnitudes = _vote_scores(model, points)
-    # magnitudes scaled below 1 so they only ever separate vote ties;
-    # argmax takes the lowest index on residual exact ties
-    score = votes + magnitudes / (1.0 + magnitudes.max())
-    winners = np.argmax(score, axis=1)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    # argmax takes the lowest index on exact magnitude ties
+    winners = np.argmax(np.where(tied, magnitudes, -np.inf), axis=1)
     return np.array([model.classes[int(w)] for w in winners], dtype=np.int64)
 
 

@@ -136,7 +136,7 @@ class TestBoundaryGrid:
         from dsvkernel.svm import train_binary
 
         config = SvmConfig(c=10.0, tol=1e-8, kernel=KernelConfig.direct(1.0))
-        return train_binary(gram(X, 1.0), y, config, 0, X, class_labels=(0, 1))
+        return train_binary(gram(X, 1.0), y, config, X, class_labels=(0, 1))
 
     def test_resolution_two_hits_padded_corners(self, tmp_path):
         model = self._binary_model()
@@ -162,7 +162,7 @@ class TestBoundaryGrid:
     def test_rows_reproduce_model_predictions(self, tmp_path):
         data = make_moons(60, 0.15, seed=0)
         config = SvmConfig(tol=1e-4, kernel=KernelConfig.direct(1.5))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         bounds = (
             (float(data.features[:, 0].min()), float(data.features[:, 0].max())),
             (float(data.features[:, 1].min()), float(data.features[:, 1].max())),
@@ -181,7 +181,7 @@ class TestBoundaryGrid:
         from dsvkernel.svm import train_binary
 
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(1.0))
-        model = train_binary(gram(X, 1.0), y, config, 0, X)
+        model = train_binary(gram(X, 1.0), y, config, X)
         with pytest.raises(InvalidDimensionError):
             exp.boundary_grid(model, ((-1, 1), (-1, 1)), 5, tmp_path / "g.csv")
 

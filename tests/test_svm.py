@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qp_oracle import dual_objective, solve_dual_bruteforce
 
-from dsvkernel.data import LabeledDataset
+from dsvkernel.data import LabeledDataset, load_csv, standardize_apply, standardize_fit
 from dsvkernel.errors import (
     DegenerateLabelsError,
     InvalidDimensionError,
@@ -32,9 +32,9 @@ from dsvkernel.svm import (
 )
 
 
-def _train(X, y, gamma=1.0, c=1.0, tol=1e-8, seed=0):
+def _train(X, y, gamma=1.0, c=1.0, tol=1e-8):
     config = SvmConfig(c=c, tol=tol, max_passes=200, kernel=KernelConfig.direct(gamma))
-    return train_binary(gram(X, gamma), np.asarray(y, float), config, seed, np.asarray(X, float))
+    return train_binary(gram(X, gamma), np.asarray(y, float), config, np.asarray(X, float))
 
 
 def _blobs(seed=0, n_per=12, centers=((0.0, 0.0), (4.0, 4.0), (-4.0, 4.0))):
@@ -130,8 +130,8 @@ class TestTrainBinary:
         y = np.where(rng.random(25) > 0.5, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             y[0] = -y[0]
-        a = _train(X, y, gamma=1.1, c=1.0, tol=1e-6, seed=9)
-        b = _train(X, y, gamma=1.1, c=1.0, tol=1e-6, seed=9)
+        a = _train(X, y, gamma=1.1, c=1.0, tol=1e-6)
+        b = _train(X, y, gamma=1.1, c=1.0, tol=1e-6)
         assert np.array_equal(a.alphas, b.alphas)
         assert np.array_equal(a.support_indices, b.support_indices)
         assert a.bias == b.bias
@@ -146,19 +146,34 @@ class TestTrainBinary:
         X = np.array([[0.0], [1.0]])
         config = SvmConfig(kernel=KernelConfig.direct(2.0))
         with pytest.raises(InvalidInputError):
-            train_binary(gram(X, 1.0), np.array([1.0, -1.0]), config, 0, X)
+            train_binary(gram(X, 1.0), np.array([1.0, -1.0]), config, X)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6, 1e12])
+    def test_iris_converges_across_c(self, iris_csv, c):
+        raw = load_csv(iris_csv, "species")
+        data = standardize_apply(standardize_fit(raw), raw)
+        config = SvmConfig(c=c, kernel=KernelConfig.direct(1.0))
+        model = train_multiclass(data, config)
+        assert all(machine.converged for _, machine in model.machines)
 
     def test_label_values_validated(self):
         X = np.array([[0.0], [1.0]])
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
         with pytest.raises(InvalidInputError):
-            train_binary(gram(X, 1.0), np.array([1.0, 2.0]), config, 0, X)
+            train_binary(gram(X, 1.0), np.array([1.0, 2.0]), config, X)
 
-    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=4, max_value=7))
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=4, max_value=7),
+        st.integers(min_value=0, max_value=3),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_small_random_instances_match_enumeration(self, seed, m):
+    def test_small_random_instances_match_enumeration(self, seed, m, n_duplicates):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, size=(m, 2))
+        # the last rows copy earlier ones; labels are drawn independently, so
+        # some duplicates contradict their originals
+        X[m - n_duplicates:] = X[rng.integers(0, m - n_duplicates, size=n_duplicates)]
         y = rng.choice([-1.0, 1.0], size=m)
         if len(np.unique(y)) < 2:
             y[0] = -y[0]
@@ -166,7 +181,7 @@ class TestTrainBinary:
         c = float(rng.choice([0.5, 1.0, 10.0]))
         g = gram(X, gamma)
         config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig.direct(gamma))
-        model = train_binary(g, y, config, 0, X)
+        model = train_binary(g, y, config, X)
         alpha = np.zeros(m)
         alpha[model.support_indices] = model.alphas
         _, best = solve_dual_bruteforce(g.values, y, c)
@@ -218,83 +233,96 @@ class TestMulticlass:
     def test_two_classes_single_machine(self):
         data = _blobs(centers=((0.0, 0.0), (4.0, 4.0)))
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         assert len(model.machines) == 1
         assert model.machines[0][0] == (0, 1)
 
     def test_three_classes_three_machines(self):
         data = _blobs()
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         assert len(model.machines) == 3
         assert [pair for pair, _ in model.machines] == [(0, 1), (0, 2), (1, 2)]
 
     def test_separable_blobs_perfect_training_accuracy(self):
         data = _blobs()
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         assert accuracy(model, data) == 1.0
 
     def test_single_class_rejected(self):
         data = _blobs(centers=((0.0, 0.0),))
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
         with pytest.raises(DegenerateLabelsError):
-            train_multiclass(data, config, 0)
+            train_multiclass(data, config)
 
     def test_unanimous_vote(self):
         data = _blobs()
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         assert predict_multiclass(model, np.array([4.0, 4.0])) == 1
 
     def test_tie_breaks_by_summed_magnitude_then_index(self):
-        # hand-built 3-class cycle: one vote per class; class 2's machines
-        # carry the largest absolute decision values
-        def stub(neg, pos, bias):
-            return SvmModel(
-                support_indices=np.array([0]),
-                alphas=np.array([1e-12]),
-                sv_labels=np.array([1.0]),
-                support_vectors=np.array([[0.0, 0.0]]),
-                bias=bias,
-                labels=(neg, pos),
-                kernel=KernelConfig.direct(1.0),
-                converged=True,
-                objective_history=(),
-            )
-
-        model = MulticlassModel(
-            machines=(
-                ((0, 1), stub(0, 1, bias=0.1)),    # votes 1
-                ((0, 2), stub(0, 2, bias=-0.9)),   # votes 0
-                ((1, 2), stub(1, 2, bias=0.5)),    # votes 2
-            ),
-            classes=(0, 1, 2),
-        )
         # votes: 0 -> 1, 1 -> 1, 2 -> 1; magnitudes: 0: 1.0, 1: 0.6, 2: 1.4
-        assert predict_multiclass(model, np.array([5.0, 5.0])) == 2
+        assert predict_multiclass(_tie_model(1e-12), np.array([5.0, 5.0])) == 2
+
+    def test_tie_break_independent_of_batch(self):
+        # (0, 0) sits on every support vector, so its decision values are
+        # about 1e20; at (30, 30) the kernel underflows to 0 and the point
+        # is the same three-way tie as above
+        model = _tie_model(1e20)
+        tied = np.array([[30.0, 30.0]])
+        alone = predict_labels(model, tied)
+        batched = predict_labels(model, np.vstack([tied, [[0.0, 0.0]]]))
+        assert alone[0] == batched[0] == 2
 
     def test_deterministic_given_seed(self):
         data = _blobs(seed=5)
         config = SvmConfig(kernel=KernelConfig.direct(1.0), tol=1e-6)
-        a = train_multiclass(data, config, 3)
-        b = train_multiclass(data, config, 3)
+        a = train_multiclass(data, config)
+        b = train_multiclass(data, config)
         for (_, ma), (_, mb) in zip(a.machines, b.machines):
             assert np.array_equal(ma.alphas, mb.alphas)
             assert ma.bias == mb.bias
+
+
+def _tie_model(alpha):
+    """Hand-built 3-class cycle: at points far from the origin each class gets
+    one vote and class 2's machines carry the largest |decision value|."""
+    def stub(neg, pos, bias):
+        return SvmModel(
+            support_indices=np.array([0]),
+            alphas=np.array([alpha]),
+            sv_labels=np.array([1.0]),
+            support_vectors=np.array([[0.0, 0.0]]),
+            bias=bias,
+            labels=(neg, pos),
+            kernel=KernelConfig.direct(1.0),
+            converged=True,
+            objective_history=(),
+        )
+
+    return MulticlassModel(
+        machines=(
+            ((0, 1), stub(0, 1, bias=0.1)),    # votes 1
+            ((0, 2), stub(0, 2, bias=-0.9)),   # votes 0
+            ((1, 2), stub(1, 2, bias=0.5)),    # votes 2
+        ),
+        classes=(0, 1, 2),
+    )
 
 
 class TestAccuracy:
     def test_all_correct(self):
         data = _blobs(centers=((0.0, 0.0), (5.0, 5.0)))
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         assert accuracy(model, data) == 1.0
 
     def test_counts_are_exact_fractions(self):
         data = _blobs(centers=((0.0, 0.0), (5.0, 5.0)))
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         flipped = LabeledDataset(
             features=data.features,
             labels=1 - data.labels,
@@ -307,7 +335,7 @@ class TestAccuracy:
     def test_empty_dataset_rejected(self):
         data = _blobs()
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         empty = LabeledDataset(
             features=np.zeros((0, 2)),
             labels=np.zeros(0, dtype=int),
@@ -339,7 +367,7 @@ class TestSerialization:
     def test_multiclass_roundtrip(self, tmp_path):
         data = _blobs()
         config = SvmConfig(kernel=KernelConfig.direct(0.8), tol=1e-6)
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         path = tmp_path / "ovo.json"
         save_model(path, model)
         loaded, _ = load_model(path)
@@ -351,7 +379,7 @@ class TestSerialization:
     def test_dict_roundtrip_without_files(self):
         data = _blobs(centers=((0.0, 0.0), (4.0, 4.0)))
         config = SvmConfig(kernel=KernelConfig.direct(1.0), tol=1e-6)
-        model = train_multiclass(data, config, 0)
+        model = train_multiclass(data, config)
         again = model_from_dict(model_to_dict(model))
         assert isinstance(again, MulticlassModel)
 
