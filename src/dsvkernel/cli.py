@@ -25,6 +25,7 @@ from .data import (
     load_csv,
     pca_fit,
     pca_transform,
+    recode_labels,
     save_csv,
     select_features,
     split,
@@ -188,11 +189,8 @@ def _cmd_evaluate(args) -> int:
     label_column = args.label_column or payload.get("label_column", "label")
     dataset = load_csv(args.data, label_column)
     dataset = exp.apply_transform_chain(dataset, payload.get("preprocessing", []))
-    stored_names = payload.get("label_names")
-    if stored_names is not None and list(dataset.label_names) != list(stored_names):
-        raise DsvKernelError(
-            f"label names {dataset.label_names} do not match the model's {stored_names}"
-        )
+    if payload.get("label_names") is not None:
+        dataset = recode_labels(dataset, payload["label_names"])
     _emit({"accuracy": accuracy(model, dataset), "n_samples": dataset.n_samples})
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -285,6 +286,24 @@ def load_csv(
     )
 
 
+def recode_labels(data: LabeledDataset, label_names) -> LabeledDataset:
+    """Re-express labels as indices into ``label_names``, which must name
+    every class the dataset has; a file holding some of a model's classes
+    is thereby scored against the model's own label coding."""
+    label_names = tuple(label_names)
+    unknown = [name for name in data.label_names if name not in label_names]
+    if unknown:
+        raise InvalidInputError(f"labels {unknown} are not among {list(label_names)}")
+    codes = np.array([label_names.index(name) for name in data.label_names], dtype=np.int64)
+    return LabeledDataset(
+        features=data.features,
+        labels=codes[data.labels],
+        feature_names=data.feature_names,
+        label_names=label_names,
+        provenance=data.provenance,
+    )
+
+
 def select_features(data: LabeledDataset, names: list[str]) -> LabeledDataset:
     """Column slice by feature name; duplicates are rejected."""
     if len(set(names)) != len(names):
@@ -507,36 +526,37 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
     return _subset(train_idx, "train"), _subset(test_idx, "test")
 
 
-def save_csv(data: LabeledDataset, path) -> None:
-    """Write feature columns then a ``label`` column, plus a sidecar
-    ``<stem>.provenance.json`` record."""
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 bytes (no newline translation) to a temporary
+    file beside ``path``, then rename it over ``path``: readers see the old
+    file or the whole new one, never a partial write."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(list(data.feature_names) + ["label"])
-            for row, label in zip(data.features, data.labels):
-                writer.writerow([repr(float(v)) for v in row] + [data.label_names[label]])
+        with os.fdopen(fd, "wb") as f:
+            f.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    sidecar = path.with_suffix(".provenance.json")
+
+
+def save_csv(data: LabeledDataset, path) -> None:
+    """Write feature columns then a ``label`` column, plus a sidecar
+    ``<stem>.provenance.json`` record."""
+    path = Path(path)
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(list(data.feature_names) + ["label"])
+    for row, label in zip(data.features, data.labels):
+        writer.writerow([repr(float(v)) for v in row] + [data.label_names[label]])
+    atomic_write_text(path, table.getvalue())
     payload = {
         "provenance": data.provenance,
         "feature_names": list(data.feature_names),
         "label_names": list(data.label_names),
         "n_samples": data.n_samples,
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, sidecar)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    sidecar = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    atomic_write_text(path.with_suffix(".provenance.json"), sidecar)

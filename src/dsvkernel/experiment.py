@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .data import (
     LabeledDataset,
     PcaModel,
     SplitSpec,
+    atomic_write_text,
     load_csv,
     make_circles,
     make_moons,
@@ -44,9 +44,9 @@ from .svm import (
     SvmModel,
     accuracy,
     decision_values,
-    predict_labels,
     save_model,
     train_multiclass,
+    vote,
 )
 
 REPORT_FORMAT_VERSION = 1
@@ -260,24 +260,11 @@ class ExperimentReport:
         return doc
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_report(report: ExperimentReport, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    _atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     for gamma, model in report.models.items():
         save_model(
             out_dir / f"model_gamma_{gamma!r}.json",
@@ -388,9 +375,10 @@ def boundary_grid(
     """Decision values over a lattice spanning ``bounds`` padded 10% per side.
 
     Only defined for 2-feature models.  Rows are written x2-major (x1 varies
-    fastest) as ``x1,x2,decision_value,label``.  For one-vs-one models the
-    decision value is the summed signed decision value toward the predicted
-    class over the machines it participates in.
+    fastest) as ``x1,x2,decision_value,label``, each float as its shortest
+    round-trip ``repr``.  For one-vs-one models the label is the vote of
+    :func:`dsvkernel.svm.vote` and the decision value is the summed signed
+    decision value toward that class over the machines it participates in.
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
@@ -405,24 +393,27 @@ def boundary_grid(
     pad2 = BOUNDARY_PADDING * (x2_hi - x2_lo)
     xs = np.linspace(x1_lo - pad1, x1_hi + pad1, resolution)
     ys = np.linspace(x2_lo - pad2, x2_hi + pad2, resolution)
-    grid = np.array([(x, y) for y in ys for x in xs])
+    grid = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
 
     if isinstance(model, MulticlassModel):
-        labels = predict_labels(model, grid)
+        decisions = [decision_values(machine, grid) for _, machine in model.machines]
+        labels = vote(model, decisions)
         values = np.zeros(len(grid))
-        for (neg, pos), machine in model.machines:
-            d = decision_values(machine, grid)
+        for ((neg, pos), _), d in zip(model.machines, decisions):
             values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
     else:
         values = decision_values(model, grid)
         neg, pos = model.labels
         labels = np.where(values >= 0.0, pos, neg)
 
+    points = product([repr(y) for y in ys.tolist()], [repr(x) for x in xs.tolist()])
     lines = ["x1,x2,decision_value,label"]
-    for (x, y), v, lab in zip(grid, values, labels):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r},{int(lab)}")
+    lines += [
+        f"{x},{y},{v!r},{lab}"
+        for (y, x), v, lab in zip(points, values.tolist(), labels.tolist())
+    ]
     out_path = Path(out_path)
-    _atomic_write_text(out_path, "\n".join(lines) + "\n")
+    atomic_write_text(out_path, "\n".join(lines) + "\n")
     return out_path
 
 

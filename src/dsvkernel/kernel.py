@@ -29,9 +29,6 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .errors import InvalidDimensionError, InvalidInputError
 from .fock import SqueezeParams
 
-#: Symmetric eigensolver noise floor used by positive-semidefiniteness checks.
-PSD_TOLERANCE = -1e-8
-
 
 def gamma_from_squeeze(eta: SqueezeParams) -> float:
     """Kernel width gamma such that the squared single-mode overlap equals
@@ -191,4 +188,8 @@ def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:
         )
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
-    return np.exp(-gamma * cdist(test, train, "sqeuclidean"))
+    # scaled and exponentiated in place: a boundary lattice's cross Gram is
+    # the largest array of an export, so it is held once
+    values = cdist(test, train, "sqeuclidean")
+    values *= -gamma
+    return np.exp(values, out=values)

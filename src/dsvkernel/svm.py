@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from .data import atomic_write_text
 from .errors import (
     DegenerateLabelsError,
     InvalidDimensionError,
@@ -285,31 +284,33 @@ def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
 
 
-def _vote_scores(model: MulticlassModel, points: np.ndarray):
-    n = points.shape[0]
-    n_classes = len(model.classes)
+def vote(model: MulticlassModel, decisions) -> np.ndarray:
+    """One-vs-one majority vote over per-machine decision values, one array
+    per machine in ``model.machines`` order.
+
+    Ties go to the largest summed |decision value| across the machines each
+    tied class participates in, then to the lowest class, so a point's label
+    does not depend on the rest of its batch.
+    """
     index_of = {c: k for k, c in enumerate(model.classes)}
-    votes = np.zeros((n, n_classes))
-    magnitudes = np.zeros((n, n_classes))
-    for (neg, pos), machine in model.machines:
-        d = decision_values(machine, points)
+    votes = np.zeros((len(decisions[0]), len(model.classes)))
+    magnitudes = np.zeros_like(votes)
+    for ((neg, pos), _), d in zip(model.machines, decisions):
         win_pos = d >= 0.0
         votes[:, index_of[pos]] += win_pos
         votes[:, index_of[neg]] += ~win_pos
         magnitudes[:, index_of[pos]] += np.abs(d)
         magnitudes[:, index_of[neg]] += np.abs(d)
-    return votes, magnitudes
-
-
-def predict_multiclass_batch(model: MulticlassModel, points: np.ndarray) -> np.ndarray:
-    """Majority vote; ties go to the largest summed |decision value| across
-    the machines each tied class participates in, then to the lowest class."""
-    points = np.asarray(points, dtype=float)
-    votes, magnitudes = _vote_scores(model, points)
     tied = votes == votes.max(axis=1, keepdims=True)
     # argmax takes the lowest index on exact magnitude ties
     winners = np.argmax(np.where(tied, magnitudes, -np.inf), axis=1)
-    return np.array([model.classes[int(w)] for w in winners], dtype=np.int64)
+    return np.asarray(model.classes, dtype=np.int64)[winners]
+
+
+def predict_multiclass_batch(model: MulticlassModel, points: np.ndarray) -> np.ndarray:
+    """Majority vote of every machine's decision values; see :func:`vote`."""
+    points = np.asarray(points, dtype=float)
+    return vote(model, [decision_values(machine, points) for _, machine in model.machines])
 
 
 def predict_multiclass(model: MulticlassModel, x: np.ndarray) -> int:
@@ -405,17 +406,7 @@ def save_model(path, model: SvmModel | MulticlassModel, extra: dict | None = Non
     payload = model_to_dict(model)
     if extra:
         payload.update(extra)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> tuple[SvmModel | MulticlassModel, dict]:

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dsvkernel import cli
 from dsvkernel.data import load_csv
+from dsvkernel.experiment import apply_transform_chain
+from dsvkernel.svm import load_model, predict_labels
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +163,54 @@ class TestTrainEvaluateBoundary:
         )
         assert code == 0
         assert parse_json(stdout)["accuracy"] >= 0.9
+
+    @pytest.fixture()
+    def iris_model(self, tmp_path, capsys, iris_csv):
+        model_path = tmp_path / "iris.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(iris_csv), "--label-column", "species",
+            "--features", "sepal_width,petal_width", "--standardize",
+            "--gamma", "1.5", "--seed", "0", "--out", str(model_path),
+        )
+        assert code == 0
+        return model_path
+
+    def test_evaluate_file_with_a_subset_of_classes(self, tmp_path, capsys, iris_csv, iris_model):
+        header, *rows = iris_csv.read_text().splitlines()
+        subset = tmp_path / "versicolor.csv"
+        subset.write_text("\n".join([header] + [r for r in rows if r.endswith(",versicolor")]))
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--model", str(iris_model), "--data", str(subset),
+        )
+        assert code == 0, err
+        payload = parse_json(stdout)
+        assert payload["n_samples"] == 50
+
+        model, doc = load_model(iris_model)
+        data = apply_transform_chain(load_csv(subset, "species"), doc["preprocessing"])
+        versicolor = doc["label_names"].index("versicolor")
+        correct = np.count_nonzero(predict_labels(model, data.features) == versicolor)
+        assert payload["accuracy"] == correct / 50
+
+        # the full file is scored as before: labels coded by the model's names
+        code, stdout, _ = run_cli(
+            capsys, "evaluate", "--model", str(iris_model), "--data", str(iris_csv),
+        )
+        full = load_csv(iris_csv, "species")
+        assert full.label_names == tuple(doc["label_names"])
+        full = apply_transform_chain(full, doc["preprocessing"])
+        correct = np.count_nonzero(predict_labels(model, full.features) == full.labels)
+        assert code == 0 and parse_json(stdout)["accuracy"] == correct / 150
+
+    def test_evaluate_unknown_label_exits_2(self, tmp_path, capsys, iris_csv, iris_model):
+        header, *rows = iris_csv.read_text().splitlines()
+        path = tmp_path / "hybrid.csv"
+        path.write_text("\n".join([header, rows[0], rows[60].rsplit(",", 1)[0] + ",hybrid"]))
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(iris_model), "--data", str(path),
+        )
+        assert code == 2
+        assert "hybrid" in err
 
     def test_missing_data_file_exits_4(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -9,7 +9,18 @@ from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
-from dsvkernel.svm import SvmConfig, decision_value, predict_labels, train_multiclass
+from dsvkernel.kernel import gram
+from dsvkernel.svm import (
+    MulticlassModel,
+    SvmConfig,
+    SvmModel,
+    decision_value,
+    predict_labels,
+    train_binary,
+    train_multiclass,
+)
+
+from boundary_reference import reference_boundary_csv
 
 
 def _moons_spec(**overrides):
@@ -128,6 +139,24 @@ class TestSweep:
         assert exp.select_gamma(rows) == 1.1
 
 
+@pytest.fixture(scope="module")
+def boundary_models(iris_csv):
+    """A binary moons machine and a 3-class iris model on two features, each
+    with the bounding box of its training rows."""
+    def box(features):
+        return tuple((float(features[:, k].min()), float(features[:, k].max())) for k in (0, 1))
+
+    moons = make_moons(60, 0.15, seed=0)
+    y = np.where(moons.labels == 1, 1.0, -1.0)
+    config = SvmConfig(kernel=KernelConfig.direct(1.5))
+    binary = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
+    iris = load_csv(iris_csv, "species", ["sepal_width", "petal_width"])
+    return {
+        "binary": (binary, box(moons.features)),
+        "one_vs_one": (train_multiclass(iris, config), box(iris.features)),
+    }
+
+
 class TestBoundaryGrid:
     def _binary_model(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -173,6 +202,40 @@ class TestBoundaryGrid:
         labels = np.array([int(d) for _, _, _, d in rows])
         assert np.array_equal(predict_labels(model, pts), labels)
         assert len(rows) == 15 * 15
+
+    @pytest.mark.parametrize("kind", ["binary", "one_vs_one"])
+    @pytest.mark.parametrize("resolution", [2, 15, 41])
+    def test_matches_per_point_reference(self, tmp_path, boundary_models, kind, resolution):
+        model, bounds = boundary_models[kind]
+        out = exp.boundary_grid(model, bounds, resolution, tmp_path / "g.csv")
+        assert out.read_bytes() == reference_boundary_csv(model, bounds, resolution).encode()
+
+    def test_vote_ties_match_reference(self, tmp_path):
+        # one support vector at the origin with kernel value k at a point:
+        # k >= 0.5 votes 1, 2, 2; below that every class gets one vote, and
+        # class 1 wins on magnitude while k > 0; where k underflows to 0 the
+        # magnitudes tie exactly too and the lowest class wins
+        def machine(neg, pos, bias):
+            return SvmModel(
+                support_indices=np.array([0]), alphas=np.array([1.0]),
+                sv_labels=np.array([1.0]), support_vectors=np.array([[0.0, 0.0]]),
+                bias=bias, labels=(neg, pos), kernel=KernelConfig.direct(1.0),
+                converged=True, objective_history=(),
+            )
+
+        model = MulticlassModel(
+            machines=(
+                ((0, 1), machine(0, 1, 0.5)),
+                ((0, 2), machine(0, 2, -0.5)),
+                ((1, 2), machine(1, 2, 0.5)),
+            ),
+            classes=(0, 1, 2),
+        )
+        bounds = ((-1.0, 40.0), (-1.0, 40.0))
+        out = exp.boundary_grid(model, bounds, 41, tmp_path / "g.csv")
+        text = out.read_text()
+        assert text == reference_boundary_csv(model, bounds, 41)
+        assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == {"0", "1", "2"}
 
     def test_dimension_validated(self, tmp_path):
         X = np.array([[1.0], [-1.0]])
