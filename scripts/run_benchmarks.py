@@ -10,13 +10,12 @@ from pathlib import Path
 
 from dsvkernel import experiment as exp
 
-GRID = (0.06, 0.1, 0.25, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0, 10.0)
-
 
 def run(name: str, dataset: exp.FileSpec, seed: int, out: str | None) -> None:
-    spec = exp.ExperimentSpec(dataset=dataset, gammas=GRID, standardize=True, seed=seed)
+    spec = exp.ExperimentSpec(dataset=dataset, gammas=exp.DEFAULT_GAMMA_GRID,
+                              standardize=True, seed=seed)
     out_dir = Path(out) / f"{name}_seed{seed}" if out else None
-    report = exp.sweep(spec, GRID, out_dir=out_dir)
+    report = exp.sweep(spec, spec.gammas, out_dir=out_dir)
     best = report.row_for(report.selected_gamma)
     base = report.baseline_row()
     print(

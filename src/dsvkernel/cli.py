@@ -6,6 +6,11 @@ Results go to stdout as JSON or to files named by ``--out``.  ``--seed``
 drives data generation and train/test splits only; training is
 deterministic given the training rows.
 
+``train`` (a one-gamma spec) and ``sweep`` share the preprocessing of
+:func:`dsvkernel.experiment.prepare`, so every model file either writes
+carries the transform chain and label coding that ``evaluate`` and
+``boundary`` replay on a raw CSV.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
 4 I/O failure.
 """
@@ -20,18 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .data import (
-    SplitSpec,
-    load_csv,
-    pca_fit,
-    pca_transform,
-    recode_labels,
-    save_csv,
-    select_features,
-    split,
-    standardize_apply,
-    standardize_fit,
-)
+from .data import load_csv, recode_labels, save_csv
 from .errors import DsvKernelError, NonConvergenceError
 from .fock import DEFAULT_CUTOFF, SqueezeParams
 from .kernel import KernelConfig, gram, kernel_vec
@@ -41,8 +35,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
-
-DEFAULT_SWEEP_GRID = (0.06, 0.1, 0.25, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0, 10.0)
 
 
 def _emit(payload: dict) -> None:
@@ -73,8 +65,8 @@ def _add_kernel_flags(parser) -> None:
     parser.add_argument("--theta", type=float, default=0.0, help="squeezing phase (rad)")
 
 
-def _add_file_dataset_flags(parser) -> None:
-    parser.add_argument("--data", required=True, help="input CSV")
+def _add_file_dataset_flags(parser, required: bool) -> None:
+    parser.add_argument("--data", required=required, help="input CSV")
     parser.add_argument("--label-column", default="label")
     parser.add_argument("--features", default=None,
                         help="comma-separated feature columns (default: all)")
@@ -82,15 +74,55 @@ def _add_file_dataset_flags(parser) -> None:
                         help="reduce to K principal components before splitting")
 
 
-def _cmd_data_generate(args) -> int:
-    spec = exp.GeneratorSpec(
-        kind=args.dataset,
-        n=args.n,
-        noise_sigma=args.noise_sigma,
-        radius_ratio=args.radius_ratio,
-        turns=args.turns,
+def _add_generator_flags(parser, required: bool) -> None:
+    parser.add_argument("--dataset", required=required, choices=("moons", "circles", "spirals"))
+    parser.add_argument("--n", type=int, default=300)
+    parser.add_argument("--noise-sigma", type=float, default=None,
+                        help="generator noise (default depends on the dataset)")
+    parser.add_argument("--radius-ratio", type=float, default=0.5)
+    parser.add_argument("--turns", type=float, default=2.0)
+
+
+def _add_training_flags(parser) -> None:
+    parser.add_argument("--c", type=float, default=1.0)
+    parser.add_argument("--tol", type=float, default=1e-3)
+    parser.add_argument("--max-passes", type=int, default=200)
+    parser.add_argument("--train-fraction", type=float, default=0.7)
+    parser.add_argument("--standardize", action="store_true")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _generator_spec(args) -> exp.GeneratorSpec:
+    return exp.GeneratorSpec(kind=args.dataset, n=args.n, noise_sigma=args.noise_sigma,
+                             radius_ratio=args.radius_ratio, turns=args.turns)
+
+
+def _file_spec(args) -> exp.FileSpec:
+    return exp.FileSpec(
+        path=args.data,
+        label_column=args.label_column,
+        feature_columns=tuple(args.features.split(",")) if args.features else None,
+        pca_components=args.pca,
     )
-    dataset = exp.build_dataset(spec, args.seed)
+
+
+def _experiment_spec(args, dataset, gammas) -> exp.ExperimentSpec:
+    return exp.ExperimentSpec(dataset=dataset, gammas=gammas, c=args.c, tol=args.tol,
+                              max_passes=args.max_passes, train_fraction=args.train_fraction,
+                              standardize=args.standardize, seed=args.seed)
+
+
+def _load_model_and_data(args):
+    """The model, its JSON document and ``--data`` mapped through the
+    model's stored preprocessing into its feature space."""
+    model, payload = load_model(args.model)
+    label_column = args.label_column or payload.get("label_column", "label")
+    dataset = load_csv(args.data, label_column)
+    return model, payload, exp.apply_transform_chain(dataset, payload.get("preprocessing", []))
+
+
+def _cmd_data_generate(args) -> int:
+    dataset = exp.build_dataset(_generator_spec(args), args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
@@ -132,46 +164,16 @@ def _cmd_simulate_overlap(args) -> int:
     return EXIT_OK
 
 
-def _build_training_frames(args):
-    """Load a CSV, apply CLI preprocessing, and split; returns the frames and
-    the serialized transform chain needed to replay the preprocessing."""
-    features = args.features.split(",") if args.features else None
-    dataset = load_csv(args.data, args.label_column, features)
-    chain: list[dict] = []
-    if features:
-        chain.append({"kind": "select", "names": features})
-    if args.pca is not None:
-        from .data import pca_fit, pca_transform
-
-        scaler = standardize_fit(dataset)
-        dataset = standardize_apply(scaler, dataset)
-        chain.append({"kind": "standardize", "scaler": scaler.to_dict()})
-        pca_model = pca_fit(dataset, args.pca)
-        dataset = pca_transform(pca_model, dataset)
-        chain.append({"kind": "pca", "model": pca_model.to_dict()})
-    train_ds, test_ds = split(dataset, SplitSpec(args.train_fraction, args.seed, True))
-    if args.standardize:
-        scaler = standardize_fit(train_ds)
-        train_ds = standardize_apply(scaler, train_ds)
-        test_ds = standardize_apply(scaler, test_ds)
-        chain.append({"kind": "standardize", "scaler": scaler.to_dict()})
-    return dataset, train_ds, test_ds, chain
-
-
 def _cmd_train(args) -> int:
-    config = SvmConfig(c=args.c, tol=args.tol, max_passes=args.max_passes,
-                       kernel=_kernel_config(args))
-    dataset, train_ds, test_ds, chain = _build_training_frames(args)
+    kernel = _kernel_config(args)
+    config = SvmConfig(c=args.c, tol=args.tol, max_passes=args.max_passes, kernel=kernel)
+    spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
+    _, train_ds, test_ds, replay = exp.prepare(spec)
     model = train_multiclass(train_ds, config)
     converged = all(m.converged for _, m in model.machines)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(out, model, extra={
-        "preprocessing": chain,
-        "label_column": args.label_column,
-        "label_names": list(dataset.label_names),
-        "seed": args.seed,
-    })
+    save_model(out, model, extra={**replay, "seed": args.seed})
     _emit({
         "model": str(out),
         "train_acc": accuracy(model, train_ds),
@@ -185,10 +187,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    model, payload = load_model(args.model)
-    label_column = args.label_column or payload.get("label_column", "label")
-    dataset = load_csv(args.data, label_column)
-    dataset = exp.apply_transform_chain(dataset, payload.get("preprocessing", []))
+    model, payload, dataset = _load_model_and_data(args)
     if payload.get("label_names") is not None:
         dataset = recode_labels(dataset, payload["label_names"])
     _emit({"accuracy": accuracy(model, dataset), "n_samples": dataset.n_samples})
@@ -199,29 +198,15 @@ def _dataset_spec_from_args(args) -> exp.GeneratorSpec | exp.FileSpec:
     if args.dataset is not None and args.data is not None:
         raise DsvKernelError("give either --dataset (generator) or --data (CSV), not both")
     if args.dataset is not None:
-        return exp.GeneratorSpec(kind=args.dataset, n=args.n, noise_sigma=args.noise_sigma,
-                                 radius_ratio=args.radius_ratio, turns=args.turns)
+        return _generator_spec(args)
     if args.data is not None:
-        return exp.FileSpec(
-            path=args.data,
-            label_column=args.label_column,
-            feature_columns=tuple(args.features.split(",")) if args.features else None,
-            pca_components=args.pca,
-        )
+        return _file_spec(args)
     raise DsvKernelError("a dataset is required: --dataset or --data")
 
 
 def _cmd_sweep(args) -> int:
-    spec = exp.ExperimentSpec(
-        dataset=_dataset_spec_from_args(args),
-        gammas=tuple(args.gamma) if args.gamma else DEFAULT_SWEEP_GRID,
-        c=args.c,
-        tol=args.tol,
-        max_passes=args.max_passes,
-        train_fraction=args.train_fraction,
-        standardize=args.standardize,
-        seed=args.seed,
-    )
+    gammas = tuple(args.gamma) if args.gamma else exp.DEFAULT_GAMMA_GRID
+    spec = _experiment_spec(args, _dataset_spec_from_args(args), gammas)
     report = exp.sweep(spec, spec.gammas, out_dir=args.out)
     doc = report.to_json_dict()
     _emit({
@@ -235,10 +220,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    model, payload = load_model(args.model)
-    label_column = args.label_column or payload.get("label_column", "label")
-    dataset = load_csv(args.data, label_column)
-    dataset = exp.apply_transform_chain(dataset, payload.get("preprocessing", []))
+    model, _, dataset = _load_model_and_data(args)
     bounds = (
         (float(dataset.features[:, 0].min()), float(dataset.features[:, 0].max())),
         (float(dataset.features[:, 1].min()), float(dataset.features[:, 1].max())),
@@ -261,12 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("data", help="dataset utilities")
     data_sub = p_data.add_subparsers(dest="subcommand", required=True)
     p_gen = data_sub.add_parser("generate", help="write a synthetic dataset CSV")
-    p_gen.add_argument("--dataset", required=True, choices=("moons", "circles", "spirals"))
-    p_gen.add_argument("--n", type=int, default=300)
-    p_gen.add_argument("--noise-sigma", type=float, default=None,
-                       help="generator noise (default depends on the dataset)")
-    p_gen.add_argument("--radius-ratio", type=float, default=0.5)
-    p_gen.add_argument("--turns", type=float, default=2.0)
+    _add_generator_flags(p_gen, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_data_generate)
@@ -279,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p_eval)
     p_eval.set_defaults(func=_cmd_kernel_eval)
     p_gram = kernel_sub.add_parser("gram", help="write a Gram matrix CSV")
-    _add_file_dataset_flags(p_gram)
+    _add_file_dataset_flags(p_gram, required=True)
     _add_kernel_flags(p_gram)
     p_gram.add_argument("--validate", action="store_true",
                         help="also report the minimum eigenvalue")
@@ -299,14 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlap.set_defaults(func=_cmd_simulate_overlap)
 
     p_train = sub.add_parser("train", help="train on the 70:30 split of a CSV")
-    _add_file_dataset_flags(p_train)
+    _add_file_dataset_flags(p_train, required=True)
     _add_kernel_flags(p_train)
-    p_train.add_argument("--c", type=float, default=1.0)
-    p_train.add_argument("--tol", type=float, default=1e-3)
-    p_train.add_argument("--max-passes", type=int, default=200)
-    p_train.add_argument("--train-fraction", type=float, default=0.7)
-    p_train.add_argument("--standardize", action="store_true")
-    p_train.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p_train)
     p_train.add_argument("--out", required=True, help="model JSON path")
     p_train.set_defaults(func=_cmd_train)
 
@@ -318,23 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate.set_defaults(func=_cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="gamma grid search with reports")
-    p_sweep.add_argument("--dataset", choices=("moons", "circles", "spirals"), default=None)
-    p_sweep.add_argument("--n", type=int, default=300)
-    p_sweep.add_argument("--noise-sigma", type=float, default=None)
-    p_sweep.add_argument("--radius-ratio", type=float, default=0.5)
-    p_sweep.add_argument("--turns", type=float, default=2.0)
-    p_sweep.add_argument("--data", default=None, help="CSV instead of a generator")
-    p_sweep.add_argument("--label-column", default="label")
-    p_sweep.add_argument("--features", default=None)
-    p_sweep.add_argument("--pca", type=int, default=None)
+    _add_generator_flags(p_sweep, required=False)
+    _add_file_dataset_flags(p_sweep, required=False)
     p_sweep.add_argument("--gamma", type=float, action="append", default=None,
                          help="repeatable; defaults to a standard grid")
-    p_sweep.add_argument("--c", type=float, default=1.0)
-    p_sweep.add_argument("--tol", type=float, default=1e-3)
-    p_sweep.add_argument("--max-passes", type=int, default=200)
-    p_sweep.add_argument("--train-fraction", type=float, default=0.7)
-    p_sweep.add_argument("--standardize", action="store_true")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p_sweep)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 

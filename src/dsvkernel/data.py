@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +226,10 @@ def load_csv(
     """
     path = Path(path)
     raw = path.read_bytes()  # missing file surfaces as FileNotFoundError
-    lines = raw.decode("utf-8").splitlines()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise DatasetParseError(f"{path}: not UTF-8 text (byte {err.start})") from None
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -295,13 +298,7 @@ def recode_labels(data: LabeledDataset, label_names) -> LabeledDataset:
     if unknown:
         raise InvalidInputError(f"labels {unknown} are not among {list(label_names)}")
     codes = np.array([label_names.index(name) for name in data.label_names], dtype=np.int64)
-    return LabeledDataset(
-        features=data.features,
-        labels=codes[data.labels],
-        feature_names=data.feature_names,
-        label_names=label_names,
-        provenance=data.provenance,
-    )
+    return replace(data, labels=codes[data.labels], label_names=label_names)
 
 
 def select_features(data: LabeledDataset, names: list[str]) -> LabeledDataset:
@@ -312,13 +309,8 @@ def select_features(data: LabeledDataset, names: list[str]) -> LabeledDataset:
     if missing:
         raise InvalidInputError(f"unknown feature names: {missing}")
     idx = [data.feature_names.index(n) for n in names]
-    return LabeledDataset(
-        features=data.features[:, idx],
-        labels=data.labels,
-        feature_names=tuple(names),
-        label_names=data.label_names,
-        provenance={**data.provenance, "selected_features": list(names)},
-    )
+    return replace(data, features=data.features[:, idx], feature_names=tuple(names),
+                   provenance={**data.provenance, "selected_features": list(names)})
 
 
 @dataclass(frozen=True)
@@ -394,13 +386,8 @@ def pca_transform(model: PcaModel, data: LabeledDataset) -> LabeledDataset:
         )
     projected = (data.features - model.mean) @ model.components.T
     k = model.components.shape[0]
-    return LabeledDataset(
-        features=projected,
-        labels=data.labels,
-        feature_names=tuple(f"pc{i + 1}" for i in range(k)),
-        label_names=data.label_names,
-        provenance={**data.provenance, "pca_components": k},
-    )
+    return replace(data, features=projected, feature_names=tuple(f"pc{i + 1}" for i in range(k)),
+                   provenance={**data.provenance, "pca_components": k})
 
 
 @dataclass(frozen=True)
@@ -453,13 +440,8 @@ def standardize_apply(scaler: ColumnScaler, data: LabeledDataset) -> LabeledData
         raise InvalidDimensionError(
             f"dataset has {data.n_features} features, scaler expects {len(scaler.mean)}"
         )
-    return LabeledDataset(
-        features=(data.features - scaler.mean) / scaler.scale,
-        labels=data.labels,
-        feature_names=data.feature_names,
-        label_names=data.label_names,
-        provenance={**data.provenance, "standardized": True},
-    )
+    return replace(data, features=(data.features - scaler.mean) / scaler.scale,
+                   provenance={**data.provenance, "standardized": True})
 
 
 def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -507,11 +489,10 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
         test_idx = sorted(set(range(m)) - set(train_idx))
 
     def _subset(indices: list[int], role: str) -> LabeledDataset:
-        return LabeledDataset(
+        return replace(
+            data,
             features=data.features[indices],
             labels=data.labels[indices],
-            feature_names=data.feature_names,
-            label_names=data.label_names,
             provenance={
                 **data.provenance,
                 "split": {

@@ -37,7 +37,7 @@ from .data import (
 )
 from .errors import InvalidDimensionError, InvalidInputError
 from .fock import DEFAULT_CUTOFF, SqueezeParams, circuit_kernel
-from .kernel import KernelConfig, gamma_from_squeeze, kernel_scalar
+from .kernel import KernelConfig, check_gamma, gamma_from_squeeze, kernel_scalar
 from .svm import (
     MulticlassModel,
     SvmConfig,
@@ -50,6 +50,9 @@ from .svm import (
 )
 
 REPORT_FORMAT_VERSION = 1
+
+#: Gamma grid of a sweep that names none.
+DEFAULT_GAMMA_GRID = (0.06, 0.1, 0.25, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0, 10.0)
 
 #: Default decision-boundary lattice edge length.
 DEFAULT_BOUNDARY_RESOLUTION = 200
@@ -134,10 +137,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.gammas:
             raise InvalidInputError("gamma list must be non-empty")
-        for g in self.gammas:
-            if not (math.isfinite(g) and g > 0.0):
-                raise InvalidInputError(f"gammas must be positive, got {g}")
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        object.__setattr__(self, "gammas", tuple(check_gamma(g) for g in self.gammas))
 
     def to_dict(self) -> dict:
         return {
@@ -189,21 +189,59 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
 def build_dataset(dataset_spec: GeneratorSpec | FileSpec, seed: int) -> LabeledDataset:
     """Materialize a dataset descriptor (generators consume the given seed)."""
+    return _dataset_and_chain(dataset_spec, seed)[0]
+
+
+def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[dict]]:
+    """The dataset and the transform chain that replays its file-level steps
+    (feature selection, whole-file standardization and PCA) on the raw CSV."""
     if isinstance(dataset_spec, GeneratorSpec):
         if dataset_spec.kind == "moons":
-            return make_moons(dataset_spec.n, dataset_spec.noise_sigma, seed)
-        if dataset_spec.kind == "circles":
-            return make_circles(
+            ds = make_moons(dataset_spec.n, dataset_spec.noise_sigma, seed)
+        elif dataset_spec.kind == "circles":
+            ds = make_circles(
                 dataset_spec.n, dataset_spec.radius_ratio, dataset_spec.noise_sigma, seed
             )
-        return make_spirals(dataset_spec.n, dataset_spec.turns, dataset_spec.noise_sigma, seed)
-    ds = load_csv(dataset_spec.path, dataset_spec.label_column,
-                  list(dataset_spec.feature_columns) if dataset_spec.feature_columns else None)
+        else:
+            ds = make_spirals(dataset_spec.n, dataset_spec.turns, dataset_spec.noise_sigma, seed)
+        return ds, []
+    features = list(dataset_spec.feature_columns) if dataset_spec.feature_columns else None
+    ds = load_csv(dataset_spec.path, dataset_spec.label_column, features)
+    chain = [{"kind": "select", "names": features}] if features else []
     if dataset_spec.pca_components is not None:
         scaler = standardize_fit(ds)
         ds = standardize_apply(scaler, ds)
-        ds = pca_transform(pca_fit(ds, dataset_spec.pca_components), ds)
-    return ds
+        pca_model = pca_fit(ds, dataset_spec.pca_components)
+        ds = pca_transform(pca_model, ds)
+        chain += [{"kind": "standardize", "scaler": scaler.to_dict()},
+                  {"kind": "pca", "model": pca_model.to_dict()}]
+    return ds, chain
+
+
+def prepare(spec: ExperimentSpec):
+    """Dataset -> split -> train-fitted standardization, for every caller.
+
+    Returns ``(dataset, train, test, replay)``.  ``replay`` holds the
+    model-file fields ``preprocessing``, ``label_column`` and ``label_names``
+    with which ``evaluate`` and ``boundary`` map the raw CSV (for generators,
+    the one ``data generate`` writes) into the model's feature space.
+    """
+    dataset, chain = _dataset_and_chain(spec.dataset, spec.seed)
+    train_ds, test_ds = split(
+        dataset, SplitSpec(spec.train_fraction, spec.seed, spec.stratified)
+    )
+    if spec.standardize:
+        scaler = standardize_fit(train_ds)
+        train_ds = standardize_apply(scaler, train_ds)
+        test_ds = standardize_apply(scaler, test_ds)
+        chain.append({"kind": "standardize", "scaler": scaler.to_dict()})
+    replay = {
+        "preprocessing": chain,
+        "label_column": (spec.dataset.label_column
+                         if isinstance(spec.dataset, FileSpec) else "label"),
+        "label_names": list(dataset.label_names),
+    }
+    return dataset, train_ds, test_ds, replay
 
 
 @dataclass(frozen=True)
@@ -234,6 +272,8 @@ class ExperimentReport:
     dataset_provenance: dict
     selected_gamma: float | None = None
     models: dict = field(default_factory=dict, repr=False)
+    #: model-file fields from :func:`prepare`, written into every model file
+    replay: dict = field(default_factory=dict, repr=False)
 
     def baseline_row(self) -> ExperimentRow:
         return next(r for r in self.rows if r.is_baseline)
@@ -269,7 +309,7 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
         save_model(
             out_dir / f"model_gamma_{gamma!r}.json",
             model,
-            extra={"spec_hash": report.spec.spec_hash(), "gamma": gamma},
+            extra={**report.replay, "spec_hash": report.spec.spec_hash(), "gamma": gamma},
         )
     return path
 
@@ -287,15 +327,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     A gamma = 1.0 baseline row is always present (appended when missing from
     the spec) and flagged ``is_baseline``.
     """
-    dataset = build_dataset(spec.dataset, spec.seed)
-    train_ds, test_ds = split(
-        dataset, SplitSpec(spec.train_fraction, spec.seed, spec.stratified)
-    )
-    if spec.standardize:
-        scaler = standardize_fit(train_ds)
-        train_ds = standardize_apply(scaler, train_ds)
-        test_ds = standardize_apply(scaler, test_ds)
-
+    dataset, train_ds, test_ds, replay = prepare(spec)
     gammas = list(spec.gammas)
     if 1.0 not in gammas:
         gammas.append(1.0)
@@ -329,6 +361,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
         rows=tuple(rows),
         dataset_provenance=dataset.provenance,
         models=models,
+        replay=replay,
     )
     if out_dir is not None:
         write_report(report, out_dir)
@@ -350,17 +383,8 @@ def sweep(spec: ExperimentSpec, gamma_grid, out_dir=None) -> ExperimentReport:
     The always-present baseline row competes in the selection, so the chosen
     gamma never scores below gamma = 1.0 on test accuracy.
     """
-    grid = tuple(float(g) for g in gamma_grid)
-    if not grid:
-        raise InvalidInputError("gamma grid must be non-empty")
-    report = run_experiment(replace(spec, gammas=grid))
-    report = ExperimentReport(
-        spec=report.spec,
-        rows=report.rows,
-        dataset_provenance=report.dataset_provenance,
-        selected_gamma=select_gamma(report.rows),
-        models=report.models,
-    )
+    report = run_experiment(replace(spec, gammas=tuple(gamma_grid)))
+    report = replace(report, selected_gamma=select_gamma(report.rows))
     if out_dir is not None:
         write_report(report, out_dir)
     return report
@@ -420,8 +444,8 @@ def boundary_grid(
 def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> LabeledDataset:
     """Replay a serialized preprocessing pipeline (select / standardize / pca).
 
-    Model files written by the CLI store such a chain so evaluation can map a
-    raw CSV into the feature space a model was trained in.
+    Model files store such a chain (see :func:`prepare`) so evaluation can
+    map a raw CSV into the feature space a model was trained in.
     """
     for entry in chain:
         kind = entry["kind"]

@@ -108,9 +108,6 @@ class TruncatedState:
             )
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class BosonicOperator:
@@ -127,16 +124,6 @@ class BosonicOperator:
                 f"operator matrix of shape {m.shape} does not match cutoff {self.cutoff}"
             )
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def dagger(self) -> "BosonicOperator":
-        return BosonicOperator(self.matrix.conj().T, self.cutoff, self.label + "_dagger")
-
-    def apply(self, state: TruncatedState) -> TruncatedState:
-        if state.cutoff != self.cutoff:
-            raise InvalidDimensionError(
-                f"operator cutoff {self.cutoff} != state cutoff {state.cutoff}"
-            )
-        return TruncatedState(self.matrix @ state.amplitudes, self.cutoff)
 
 
 def ladder_ops(cutoff: int) -> tuple[BosonicOperator, BosonicOperator]:
@@ -267,26 +254,6 @@ def vacuum(cutoff: int = DEFAULT_CUTOFF) -> TruncatedState:
     amps = np.zeros(cutoff, dtype=complex)
     amps[0] = 1.0
     return TruncatedState(amps, cutoff)
-
-
-def dsv_state(
-    x: complex, eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF
-) -> TruncatedState:
-    """Displaced squeezed vacuum D(x) S(eta) |0>, normalized within EPS_NORM."""
-    state = displacement(x, cutoff).apply(squeeze(eta, cutoff).apply(vacuum(cutoff)))
-    if abs(state.norm() - 1.0) > EPS_NORM:
-        raise CutoffExceededError(
-            f"state norm {state.norm()} deviates from 1 beyond {EPS_NORM}; "
-            "increase the cutoff"
-        )
-    return state
-
-
-def overlap(a: TruncatedState, b: TruncatedState) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    if a.cutoff != b.cutoff:
-        raise InvalidDimensionError(f"cutoff mismatch: {a.cutoff} != {b.cutoff}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def circuit_kernel(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .data import atomic_write_text
 from .errors import InvalidDimensionError, InvalidInputError
 from .fock import SqueezeParams
 
@@ -39,6 +40,13 @@ def gamma_from_squeeze(eta: SqueezeParams) -> float:
     return math.cosh(2.0 * eta.r) + math.cos(2.0 * eta.theta) * math.sinh(2.0 * eta.r)
 
 
+def check_gamma(gamma: float) -> float:
+    """``gamma`` as a float; rejects zero, negative and non-finite widths."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
+    return float(gamma)
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Gaussian kernel hyperparameter, either set directly or derived from
@@ -48,8 +56,7 @@ class KernelConfig:
     squeeze: SqueezeParams | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidInputError(f"gamma must be positive and finite, got {self.gamma}")
+        check_gamma(self.gamma)
         if self.squeeze is not None and self.gamma != gamma_from_squeeze(self.squeeze):
             raise InvalidInputError(
                 "gamma does not match its squeeze parameters; "
@@ -82,8 +89,7 @@ def kernel_scalar(xp: float, xq: float, gamma: float) -> float:
     xp, xq = float(xp), float(xq)
     if not (math.isfinite(xp) and math.isfinite(xq)):
         raise InvalidInputError("kernel inputs must be finite")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
+    check_gamma(gamma)
     return math.exp(-gamma * (xq - xp) ** 2)
 
 
@@ -98,8 +104,7 @@ def kernel_vec(xp: np.ndarray, xq: np.ndarray, gamma: float) -> float:
         )
     if not (np.isfinite(xp).all() and np.isfinite(xq).all()):
         raise InvalidInputError("kernel inputs must be finite")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
+    check_gamma(gamma)
     return math.exp(-gamma * float(np.sum((xp - xq) ** 2)))
 
 
@@ -147,11 +152,9 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.values)[0])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"# gamma={self.gamma!r}\n")
-            f.write(f"# fingerprint={self.data_fingerprint}\n")
-            for row in self.values:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        lines = [f"# gamma={self.gamma!r}", f"# fingerprint={self.data_fingerprint}"]
+        lines += [",".join(repr(float(v)) for v in row) for row in self.values]
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
@@ -166,8 +169,7 @@ def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
 def gram(data: np.ndarray, gamma: float) -> GramMatrix:
     """Gram matrix of kernel_vec over all row pairs of an M x N matrix."""
     data = _validate_matrix(data, "data")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
+    gamma = check_gamma(gamma)
     m = data.shape[0]
     if m == 1:
         values = np.ones((1, 1))
@@ -175,7 +177,7 @@ def gram(data: np.ndarray, gamma: float) -> GramMatrix:
         condensed = np.exp(-gamma * pdist(data, "sqeuclidean"))
         values = squareform(condensed)
         np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=values, gamma=float(gamma), data_fingerprint=data_fingerprint(data))
+    return GramMatrix(values=values, gamma=gamma, data_fingerprint=data_fingerprint(data))
 
 
 def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:
@@ -186,8 +188,7 @@ def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:
         raise InvalidDimensionError(
             f"feature dimensions differ: train {train.shape[1]}, test {test.shape[1]}"
         )
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
+    gamma = check_gamma(gamma)
     # scaled and exponentiated in place: a boundary lattice's cross Gram is
     # the largest array of an export, so it is held once
     values = cdist(test, train, "sqeuclidean")

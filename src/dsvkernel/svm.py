@@ -33,7 +33,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from .kernel import GramMatrix, KernelConfig, gram, gram_cross, kernel_vec
+from .kernel import GramMatrix, KernelConfig, gram, gram_cross
 
 #: Curvature used in place of a non-positive one (duplicate rows).
 TAU = 1e-12
@@ -231,23 +231,8 @@ def train_binary(
     )
 
 
-def decision_value(model: SvmModel, x: np.ndarray) -> float:
-    """Pre-sign decision value via a per-support-vector kernel loop."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.support_vectors.shape[1]:
-        raise InvalidDimensionError(
-            f"point of shape {x.shape} does not match feature dimension "
-            f"{model.support_vectors.shape[1]}"
-        )
-    total = 0.0
-    for a, y, sv in zip(model.alphas, model.sv_labels, model.support_vectors):
-        total += a * y * kernel_vec(sv, x, model.kernel.gamma)
-    return total + model.bias
-
-
 def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized decision values via a cross Gram matrix; must agree with
-    :func:`decision_value` point by point."""
+    """Pre-sign decision values of a batch of points via a cross Gram matrix."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.support_vectors.shape[1]:
         raise InvalidDimensionError(
@@ -256,11 +241,6 @@ def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
         )
     cross = gram_cross(model.support_vectors, points, model.kernel.gamma)
     return cross @ (model.alphas * model.sv_labels) + model.bias
-
-
-def predict_binary(model: SvmModel, x: np.ndarray) -> int:
-    """Sign of the decision value; exact zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
 
 
 def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
@@ -311,13 +291,6 @@ def predict_multiclass_batch(model: MulticlassModel, points: np.ndarray) -> np.n
     """Majority vote of every machine's decision values; see :func:`vote`."""
     points = np.asarray(points, dtype=float)
     return vote(model, [decision_values(machine, points) for _, machine in model.machines])
-
-
-def predict_multiclass(model: MulticlassModel, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidDimensionError(f"expected a 1-d point, got shape {x.shape}")
-    return int(predict_multiclass_batch(model, x[None, :])[0])
 
 
 def predict_labels(model: SvmModel | MulticlassModel, points: np.ndarray) -> np.ndarray:
@@ -387,18 +360,23 @@ def model_to_dict(model: SvmModel | MulticlassModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SvmModel | MulticlassModel:
-    if d.get("version") != MODEL_FORMAT_VERSION:
-        raise InvalidInputError(f"unsupported model version: {d.get('version')}")
-    kernel_config = KernelConfig.from_dict(d["kernel"])
-    if d["type"] == "binary":
-        return _binary_from_dict(d["machine"], kernel_config)
-    if d["type"] != "one_vs_one":
-        raise InvalidInputError(f"unknown model type: {d['type']}")
-    machines = tuple(
-        ((int(m["pair"][0]), int(m["pair"][1])), _binary_from_dict(m, kernel_config))
-        for m in d["machines"]
-    )
-    return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
+    """Inverse of :func:`model_to_dict`; a document with missing or
+    ill-typed fields raises :class:`InvalidInputError`."""
+    try:
+        if d.get("version") != MODEL_FORMAT_VERSION:
+            raise InvalidInputError(f"unsupported model version: {d.get('version')}")
+        kernel_config = KernelConfig.from_dict(d["kernel"])
+        if d["type"] == "binary":
+            return _binary_from_dict(d["machine"], kernel_config)
+        if d["type"] != "one_vs_one":
+            raise InvalidInputError(f"unknown model type: {d['type']}")
+        machines = tuple(
+            ((int(m["pair"][0]), int(m["pair"][1])), _binary_from_dict(m, kernel_config))
+            for m in d["machines"]
+        )
+        return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        raise InvalidInputError(f"malformed model: {type(err).__name__}: {err}") from None
 
 
 def save_model(path, model: SvmModel | MulticlassModel, extra: dict | None = None) -> None:
@@ -412,5 +390,8 @@ def save_model(path, model: SvmModel | MulticlassModel, extra: dict | None = Non
 def load_model(path) -> tuple[SvmModel | MulticlassModel, dict]:
     """Read a model file; returns the model and the raw JSON document."""
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidInputError(f"{path}: not a JSON model file: {err}") from None
     return model_from_dict(payload), payload

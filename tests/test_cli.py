@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsvkernel import cli
+from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv
 from dsvkernel.experiment import apply_transform_chain
 from dsvkernel.svm import load_model, predict_labels
@@ -220,6 +221,37 @@ class TestTrainEvaluateBoundary:
         assert code == 4
         assert "i/o" in err
 
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b,label\n1,2,0\n3,4,\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(path), "--gamma", "1.0",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("text, hint", [
+        ("{not json", "not a JSON model file"),
+        ('{"version": 1}', "'kernel'"),
+    ], ids=["not-json", "no-kernel"])
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, moons_csv, text, hint):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(text)
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(model_path), "--data", str(moons_csv),
+        )
+        assert code == 2
+        assert hint in err
+
+    def test_missing_model_file_exits_4(self, tmp_path, capsys, moons_csv):
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(tmp_path / "nope.json"),
+            "--data", str(moons_csv),
+        )
+        assert code == 4
+        assert "i/o" in err
+
     def test_single_class_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("a,b,label\n" + "\n".join(f"{i},{i},0" for i in range(10)) + "\n")
@@ -266,6 +298,56 @@ class TestSweepCli:
         assert payload["selected_gamma"] in (1.0, 1.5)
         assert (out_dir / "report.json").exists()
         assert (out_dir / "model_gamma_1.5.json").exists()
+
+    @pytest.fixture(params=["moons", "diabetes"])
+    def file_sweep(self, request, tmp_path, capsys, diabetes_csv):
+        """A two-gamma sweep over a CSV whose training rows are standardized:
+        moons as generated, diabetes reduced to 2 principal components."""
+        if request.param == "moons":
+            csv = tmp_path / "moons.csv"
+            run_cli(capsys, "data", "generate", "--dataset", "moons", "--n", "300",
+                    "--seed", "1", "--out", str(csv))
+            flags = ["--gamma", "1.5"]
+        else:
+            csv = diabetes_csv
+            flags = ["--pca", "2", "--gamma", "0.5"]
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(capsys, "sweep", "--data", str(csv), *flags, "--standardize",
+                               "--seed", "3", "--out", str(out_dir))
+        assert code == 0, err
+        return csv, flags, out_dir
+
+    def test_sweep_model_files_score_their_source_csv(self, capsys, file_sweep):
+        csv, _, out_dir = file_sweep
+        report = json.loads((out_dir / "report.json").read_text())
+        _, train, test, _ = exp.prepare(exp.spec_from_dict(report["spec"]))
+        n = train.n_samples + test.n_samples
+        for row in report["rows"]:
+            model_path = out_dir / f"model_gamma_{row['gamma']!r}.json"
+            code, stdout, err = run_cli(
+                capsys, "evaluate", "--model", str(model_path), "--data", str(csv),
+            )
+            assert code == 0, err
+            correct = (round(row["train_acc"] * train.n_samples)
+                       + round(row["test_acc"] * test.n_samples))
+            assert parse_json(stdout) == {"accuracy": correct / n, "n_samples": n}
+
+    def test_train_saves_the_sweep_machines_at_the_same_gamma(
+        self, tmp_path, capsys, file_sweep
+    ):
+        csv, flags, out_dir = file_sweep
+        model_path = tmp_path / "train.json"
+        code, _, err = run_cli(capsys, "train", "--data", str(csv), *flags, "--standardize",
+                               "--seed", "3", "--out", str(model_path))
+        assert code == 0, err
+        trained = json.loads(model_path.read_text())
+        gamma = trained["kernel"]["gamma"]
+        swept = json.loads((out_dir / f"model_gamma_{gamma!r}.json").read_text())
+        assert trained["preprocessing"] == swept["preprocessing"]
+        assert len(trained["machines"]) == len(swept["machines"]) == 1
+        for a, b in zip(trained["machines"], swept["machines"]):
+            for key in ("alpha_y", "bias", "support_vectors"):
+                assert a[key] == b[key]
 
     def test_dataset_and_data_conflict(self, tmp_path, capsys, iris_csv):
         code, _, _ = run_cli(

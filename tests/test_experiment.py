@@ -14,7 +14,6 @@ from dsvkernel.svm import (
     MulticlassModel,
     SvmConfig,
     SvmModel,
-    decision_value,
     predict_labels,
     train_binary,
     train_multiclass,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qp_oracle import dual_objective, solve_dual_bruteforce
+from svm_reference import decision_value, predict_binary, predict_multiclass
 
 from dsvkernel.data import LabeledDataset, load_csv, standardize_apply, standardize_fit
 from dsvkernel.errors import (
@@ -18,14 +19,11 @@ from dsvkernel.svm import (
     SvmConfig,
     SvmModel,
     accuracy,
-    decision_value,
     decision_values,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_binary,
     predict_labels,
-    predict_multiclass,
     save_model,
     train_binary,
     train_multiclass,
