@@ -26,7 +26,7 @@ import numpy as np
 
 from . import experiment as exp
 from .data import load_csv, recode_labels, save_csv
-from .errors import DsvKernelError, NonConvergenceError
+from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
 from .fock import DEFAULT_CUTOFF, SqueezeParams
 from .kernel import KernelConfig, gram, kernel_vec
 from .svm import SvmConfig, accuracy, load_model, save_model, train_multiclass
@@ -142,7 +142,7 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_kernel_gram(args) -> int:
     config = _kernel_config(args)
-    dataset = load_csv(args.data, args.label_column)
+    dataset = exp.build_dataset(_file_spec(args), seed=0)  # a file consumes no seed
     gram_matrix = gram(dataset.features, config.gamma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -189,7 +189,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model, payload, dataset = _load_model_and_data(args)
     if payload.get("label_names") is not None:
-        dataset = recode_labels(dataset, payload["label_names"])
+        try:
+            dataset = recode_labels(dataset, payload["label_names"])
+        except MALFORMED_ERRORS as err:
+            raise InvalidInputError(f"malformed label_names: {type(err).__name__}: {err}") from None
     _emit({"accuracy": accuracy(model, dataset), "n_samples": dataset.n_samples})
     return EXIT_OK
 

@@ -5,6 +5,10 @@ the CLI can map failures to stable exit codes.
 """
 
 
+#: What reading a missing or ill-typed field of a JSON document raises.
+MALFORMED_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 class DsvKernelError(Exception):
     """Base class for all package errors."""
 

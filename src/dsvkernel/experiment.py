@@ -35,7 +35,7 @@ from .data import (
     standardize_apply,
     standardize_fit,
 )
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import MALFORMED_ERRORS, InvalidDimensionError, InvalidInputError
 from .fock import DEFAULT_CUTOFF, SqueezeParams, circuit_kernel
 from .kernel import KernelConfig, check_gamma, gamma_from_squeeze, kernel_scalar
 from .svm import (
@@ -61,11 +61,7 @@ DEFAULT_BOUNDARY_RESOLUTION = 200
 #: boundary-grid bounding box.
 BOUNDARY_PADDING = 0.10
 
-GENERATOR_DEFAULTS = {
-    "moons": {"noise_sigma": 0.15},
-    "circles": {"noise_sigma": 0.08, "radius_ratio": 0.5},
-    "spirals": {"noise_sigma": 0.5, "turns": 2.0},
-}
+DEFAULT_NOISE_SIGMA = {"moons": 0.15, "circles": 0.08, "spirals": 0.5}
 
 
 @dataclass(frozen=True)
@@ -79,12 +75,10 @@ class GeneratorSpec:
     turns: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_DEFAULTS:
+        if self.kind not in DEFAULT_NOISE_SIGMA:
             raise InvalidInputError(f"unknown generator kind: {self.kind!r}")
         if self.noise_sigma is None:
-            object.__setattr__(
-                self, "noise_sigma", GENERATOR_DEFAULTS[self.kind]["noise_sigma"]
-            )
+            object.__setattr__(self, "noise_sigma", DEFAULT_NOISE_SIGMA[self.kind])
 
     def to_dict(self) -> dict:
         d = {"source": "generator", "kind": self.kind, "n": self.n,
@@ -447,16 +441,19 @@ def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> Labeled
     Model files store such a chain (see :func:`prepare`) so evaluation can
     map a raw CSV into the feature space a model was trained in.
     """
-    for entry in chain:
-        kind = entry["kind"]
-        if kind == "select":
-            dataset = select_features(dataset, list(entry["names"]))
-        elif kind == "standardize":
-            dataset = standardize_apply(ColumnScaler.from_dict(entry["scaler"]), dataset)
-        elif kind == "pca":
-            dataset = pca_transform(PcaModel.from_dict(entry["model"]), dataset)
-        else:
-            raise InvalidInputError(f"unknown transform kind: {kind!r}")
+    try:
+        for entry in chain:
+            kind = entry["kind"]
+            if kind == "select":
+                dataset = select_features(dataset, list(entry["names"]))
+            elif kind == "standardize":
+                dataset = standardize_apply(ColumnScaler.from_dict(entry["scaler"]), dataset)
+            elif kind == "pca":
+                dataset = pca_transform(PcaModel.from_dict(entry["model"]), dataset)
+            else:
+                raise InvalidInputError(f"unknown transform kind: {kind!r}")
+    except MALFORMED_ERRORS as err:
+        raise InvalidInputError(f"malformed preprocessing: {type(err).__name__}: {err}") from None
     return dataset
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .data import atomic_write_text
 from .errors import (
+    MALFORMED_ERRORS,
     DegenerateLabelsError,
     InvalidDimensionError,
     InvalidInputError,
@@ -375,7 +376,7 @@ def model_from_dict(d: dict) -> SvmModel | MulticlassModel:
             for m in d["machines"]
         )
         return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+    except MALFORMED_ERRORS as err:
         raise InvalidInputError(f"malformed model: {type(err).__name__}: {err}") from None
 
 

@@ -8,6 +8,7 @@ from dsvkernel import cli
 from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv
 from dsvkernel.experiment import apply_transform_chain
+from dsvkernel.kernel import gram
 from dsvkernel.svm import load_model, predict_labels
 
 
@@ -90,6 +91,37 @@ class TestKernelGram:
         assert payload["min_eigenvalue"] >= -1e-8
         header = out.read_text().splitlines()[0]
         assert header == "# gamma=0.5"
+
+    def test_features_selects_columns(self, tmp_path, capsys, iris_csv):
+        out = tmp_path / "gram.csv"
+        code, _, _ = run_cli(
+            capsys, "kernel", "gram", "--data", str(iris_csv), "--label-column", "species",
+            "--features", "sepal_width,petal_width", "--gamma", "1", "--out", str(out),
+        )
+        assert code == 0
+        expected = tmp_path / "expected.csv"
+        columns = load_csv(iris_csv, "species", ["sepal_width", "petal_width"]).features
+        gram(columns, 1.0).write_csv(expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_pca_reduces_the_selected_columns(self, tmp_path, capsys, iris_csv):
+        def run(*flags):
+            out = tmp_path / "gram.csv"
+            code, stdout, _ = run_cli(
+                capsys, "kernel", "gram", "--data", str(iris_csv), "--label-column",
+                "species", "--gamma", "1", "--out", str(out), *flags,
+            )
+            assert code == 0
+            values = np.loadtxt(out, delimiter=",", comments="#")
+            return parse_json(stdout)["fingerprint"], values
+
+        flagless, _ = run()
+        fingerprint, values = run("--features", "sepal_width", "--pca", "1")
+        assert fingerprint != flagless
+        # one principal component of one standardized column is that column, up to sign
+        x = load_csv(iris_csv, "species", ["sepal_width"]).features
+        z = (x - x.mean()) / x.std()
+        assert np.allclose(values, np.exp(-((z - z.T) ** 2)), rtol=0.0, atol=1e-12)
 
 
 class TestSimulate:
@@ -243,6 +275,34 @@ class TestTrainEvaluateBoundary:
         )
         assert code == 2
         assert hint in err
+
+    @pytest.mark.parametrize("field, value, commands", [
+        ("preprocessing", [{"kind": "standardize"}], ("evaluate", "boundary")),
+        ("preprocessing", [{"kind": "pca", "model": {"mean": [0.0, 0.0]}}],
+         ("evaluate", "boundary")),
+        ("preprocessing", 5, ("evaluate", "boundary")),
+        ("preprocessing", ["select"], ("evaluate", "boundary")),
+        ("label_names", 5, ("evaluate",)),
+    ], ids=["standardize-no-scaler", "pca-no-components", "chain-not-a-list",
+            "entry-not-a-dict", "label-names-not-a-list"])
+    def test_malformed_replay_field_exits_2(self, tmp_path, capsys, moons_csv,
+                                            field, value, commands):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(moons_csv), "--gamma", "1.5",
+            "--standardize", "--out", str(model_path),
+        )
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        doc[field] = value
+        model_path.write_text(json.dumps(doc))
+        for command in commands:
+            extra = ["--out", str(tmp_path / "grid.csv")] if command == "boundary" else []
+            code, _, err = run_cli(
+                capsys, command, "--model", str(model_path), "--data", str(moons_csv), *extra,
+            )
+            assert code == 2, (command, err)
+            assert err.startswith(f"dsvkernel: error: malformed {field}: "), err
 
     def test_missing_model_file_exits_4(self, tmp_path, capsys, moons_csv):
         code, _, err = run_cli(

@@ -122,9 +122,12 @@ class TestMatrixExp:
         with pytest.raises(InvalidDimensionError):
             matrix_exp(np.zeros((2, 3)))
 
-    def test_rejects_bad_tol(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
         with pytest.raises(InvalidInputError):
-            matrix_exp(np.eye(2), tol=0.0)
+            matrix_exp(m)
 
 
 class TestDisplacement:
