@@ -79,8 +79,8 @@ def _add_generator_flags(parser, required: bool) -> None:
     parser.add_argument("--n", type=int, default=300)
     parser.add_argument("--noise-sigma", type=float, default=None,
                         help="generator noise (default depends on the dataset)")
-    parser.add_argument("--radius-ratio", type=float, default=0.5)
-    parser.add_argument("--turns", type=float, default=2.0)
+    parser.add_argument("--radius-ratio", type=float, default=exp.GeneratorSpec.radius_ratio)
+    parser.add_argument("--turns", type=float, default=exp.GeneratorSpec.turns)
 
 
 def _add_training_flags(parser) -> None:

@@ -37,13 +37,20 @@ from .data import (
 )
 from .errors import MALFORMED_ERRORS, InvalidDimensionError, InvalidInputError
 from .fock import DEFAULT_CUTOFF, SqueezeParams, circuit_kernel
-from .kernel import KernelConfig, check_gamma, gamma_from_squeeze, kernel_scalar
+from .kernel import (
+    KernelConfig,
+    check_gamma,
+    gamma_from_squeeze,
+    gaussian,
+    kernel_scalar,
+    sq_distances,
+)
 from .svm import (
     MulticlassModel,
     SvmConfig,
     SvmModel,
     accuracy,
-    decision_values,
+    decision_from_gram,
     save_model,
     train_multiclass,
     vote,
@@ -154,13 +161,10 @@ class ExperimentSpec:
 def spec_from_dict(d: dict) -> ExperimentSpec:
     ds = d["dataset"]
     if ds["source"] == "generator":
-        dataset = GeneratorSpec(
-            kind=ds["kind"],
-            n=ds["n"],
-            noise_sigma=ds["noise_sigma"],
-            radius_ratio=ds.get("radius_ratio", 0.5),
-            turns=ds.get("turns", 2.0),
-        )
+        # a report records only its kind's shape parameter; the other keeps
+        # the GeneratorSpec default
+        shape = {k: ds[k] for k in ("radius_ratio", "turns") if k in ds}
+        dataset = GeneratorSpec(kind=ds["kind"], n=ds["n"], noise_sigma=ds["noise_sigma"], **shape)
     else:
         dataset = FileSpec(
             path=ds["path"],
@@ -411,16 +415,15 @@ def boundary_grid(
     pad2 = BOUNDARY_PADDING * (x2_hi - x2_lo)
     xs = np.linspace(x1_lo - pad1, x1_hi + pad1, resolution)
     ys = np.linspace(x2_lo - pad2, x2_hi + pad2, resolution)
-    grid = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
 
     if isinstance(model, MulticlassModel):
-        decisions = [decision_values(machine, grid) for _, machine in model.machines]
+        decisions = [_lattice_decisions(machine, xs, ys) for _, machine in model.machines]
         labels = vote(model, decisions)
-        values = np.zeros(len(grid))
+        values = np.zeros(resolution * resolution)
         for ((neg, pos), _), d in zip(model.machines, decisions):
             values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
     else:
-        values = decision_values(model, grid)
+        values = _lattice_decisions(model, xs, ys)
         neg, pos = model.labels
         labels = np.where(values >= 0.0, pos, neg)
 
@@ -433,6 +436,25 @@ def boundary_grid(
     out_path = Path(out_path)
     atomic_write_text(out_path, "\n".join(lines) + "\n")
     return out_path
+
+
+def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """``sq_distances(lattice, sv)`` for the x2-major lattice of ``xs`` and
+    ``ys`` (x1 fastest), bit for bit.
+
+    A lattice point's squared distance to a support vector is the sum of one
+    entry from each of two per-axis tables, so the lattice-sized array is
+    written once, by one broadcast addition.
+    """
+    d1 = sq_distances(xs[:, None], sv[:, :1])
+    d2 = sq_distances(ys[:, None], sv[:, 1:])
+    return (d2[:, None, :] + d1[None, :, :]).reshape(-1, len(sv))
+
+
+def _lattice_decisions(model: SvmModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``decision_values`` of ``model`` over the lattice of ``xs`` and ``ys``."""
+    sq = lattice_sq_distances(xs, ys, model.support_vectors)
+    return decision_from_gram(model, gaussian(sq, model.kernel.gamma))
 
 
 def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> LabeledDataset:

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffExceededError, InvalidDimensionError, InvalidInputError
 
@@ -141,14 +140,23 @@ def ladder_ops(cutoff: int) -> tuple[BosonicOperator, BosonicOperator]:
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scipy's Pade scaling-and-squaring (Al-Mohy & Higham 2009); a
-    non-square ``m`` raises InvalidDimensionError, NaN or inf entries InvalidInputError."""
+    """exp(m) of an anti-Hermitian ``m`` (m' = -m), as V diag(e^{-i lam}) V'
+    from the eigendecomposition i m = V diag(lam) V' of the Hermitian i m.
+
+    Every generator the simulator exponentiates is anti-Hermitian, so the
+    result is unitary to rounding.  A non-square ``m`` raises
+    InvalidDimensionError; NaN or inf entries and any ``m`` that is not
+    exactly anti-Hermitian raise InvalidInputError.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"matrix_exp needs a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInputError("matrix_exp input contains non-finite entries")
-    return expm(m)
+    if not np.array_equal(m.conj().T, -m):
+        raise InvalidInputError("matrix_exp needs an anti-Hermitian matrix")
+    lam, v = np.linalg.eigh(1j * m)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator:
@@ -216,7 +224,12 @@ def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator
     gen = 0.5 * eta.r * (
         phase.conjugate() * (a.matrix @ a.matrix) - phase * (adag.matrix @ adag.matrix)
     )
-    return BosonicOperator(matrix_exp(gen), cutoff, "squeeze")
+    # a^2 and a'^2 change the photon number by two, so even and odd states
+    # never mix; exponentiating each parity block keeps that coupling exactly 0
+    s = np.zeros_like(gen)
+    for p in (0, 1):
+        s[p::2, p::2] = matrix_exp(gen[p::2, p::2])
+    return BosonicOperator(s, cutoff, "squeeze")
 
 
 def vacuum(cutoff: int = DEFAULT_CUTOFF) -> TruncatedState:

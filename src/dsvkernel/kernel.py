@@ -12,9 +12,9 @@ Gaussian kernel exp(-gamma ||xp - xq||^2) with gamma = c(r, theta).  The
 truncated-basis simulator in :mod:`dsvkernel.fock` computes the same number
 as a detection probability and serves as the independent reference.
 
-All functions here are pure; Gram construction evaluates each unordered pair
-once, so results are deterministic regardless of evaluation order and safe
-to compute in parallel.
+All functions here are pure.  Squared distances are summed coordinate by
+coordinate in a fixed order, so results are deterministic, and a Gram matrix
+is exactly symmetric because (a - b)^2 and (b - a)^2 are the same float.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data import atomic_write_text
 from .errors import InvalidDimensionError, InvalidInputError
@@ -121,9 +120,10 @@ def data_fingerprint(data: np.ndarray) -> str:
 class GramMatrix:
     """Pairwise kernel values over one dataset.
 
-    Exactly symmetric (each unordered pair is evaluated once and mirrored)
-    with a unit diagonal set by construction.  Off-diagonal entries lie in
-    [0, 1]; zero only occurs when exp underflows for very distant pairs.
+    Exactly symmetric, because (a - b)^2 and (b - a)^2 are the same float
+    and are summed over coordinates in the same order, with a unit diagonal.
+    Off-diagonal entries lie in [0, 1]; zero only occurs when exp underflows
+    for very distant pairs.
     """
 
     values: np.ndarray
@@ -166,17 +166,36 @@ def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
     return data
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` (m x d) and ``b``
+    (n x d) as an m x n array.
+
+    ``(a[:, k] - b[:, k])^2`` is added over k in order, as scipy's
+    ``sqeuclidean`` distance does, with at most one m x n temporary.
+    """
+    if a.shape[1] == 0:
+        return np.zeros((len(a), len(b)))
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    diff = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def gaussian(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * sq), computed in the buffer of ``sq``."""
+    sq *= -gamma
+    return np.exp(sq, out=sq)
+
+
 def gram(data: np.ndarray, gamma: float) -> GramMatrix:
     """Gram matrix of kernel_vec over all row pairs of an M x N matrix."""
     data = _validate_matrix(data, "data")
     gamma = check_gamma(gamma)
-    m = data.shape[0]
-    if m == 1:
-        values = np.ones((1, 1))
-    else:
-        condensed = np.exp(-gamma * pdist(data, "sqeuclidean"))
-        values = squareform(condensed)
-        np.fill_diagonal(values, 1.0)
+    values = gaussian(sq_distances(data, data), gamma)
     return GramMatrix(values=values, gamma=gamma, data_fingerprint=data_fingerprint(data))
 
 
@@ -188,9 +207,4 @@ def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:
         raise InvalidDimensionError(
             f"feature dimensions differ: train {train.shape[1]}, test {test.shape[1]}"
         )
-    gamma = check_gamma(gamma)
-    # scaled and exponentiated in place: a boundary lattice's cross Gram is
-    # the largest array of an export, so it is held once
-    values = cdist(test, train, "sqeuclidean")
-    values *= -gamma
-    return np.exp(values, out=values)
+    return gaussian(sq_distances(test, train), check_gamma(gamma))

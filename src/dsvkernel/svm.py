@@ -241,6 +241,12 @@ def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
             f"{model.support_vectors.shape[1]}"
         )
     cross = gram_cross(model.support_vectors, points, model.kernel.gamma)
+    return decision_from_gram(model, cross)
+
+
+def decision_from_gram(model: SvmModel, cross: np.ndarray) -> np.ndarray:
+    """Pre-sign decision values from a cross Gram matrix whose rows are points
+    and whose columns are the model's support vectors."""
     return cross @ (model.alphas * model.sv_labels) + model.bias
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,9 +413,64 @@ class TestSweepCli:
             for key in ("alpha_y", "bias", "support_vectors"):
                 assert a[key] == b[key]
 
+    @pytest.mark.parametrize("kind", ["circles", "spirals"])
+    def test_report_replays_with_the_cli_defaults(self, tmp_path, capsys, kind):
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(capsys, "sweep", "--dataset", kind, "--n", "60",
+                               "--gamma", "0.8", "--out", str(out_dir))
+        assert code == 0, err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["spec"]["dataset"] == exp.GeneratorSpec(kind, n=60).to_dict()
+        spec = exp.spec_from_dict(report["spec"])
+        replayed = exp.sweep(spec, spec.gammas, out_dir=tmp_path / "replay")
+        assert exp.reports_equal_ignoring_timings(replayed.to_json_dict(), report)
+        assert ((tmp_path / "replay" / "model_gamma_0.8.json").read_bytes()
+                == (out_dir / "model_gamma_0.8.json").read_bytes())
+
     def test_dataset_and_data_conflict(self, tmp_path, capsys, iris_csv):
         code, _, _ = run_cli(
             capsys, "sweep", "--dataset", "moons", "--data", str(iris_csv),
             "--out", str(tmp_path),
         )
         assert code == 2
+
+
+#: Runs CLI commands in a fresh interpreter in which ``import scipy`` fails.
+NO_SCIPY_SCRIPT = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from dsvkernel import cli
+
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path, iris_csv):
+    csv, model = str(tmp_path / "moons.csv"), str(tmp_path / "model.json")
+    commands = [
+        ["data", "generate", "--dataset", "moons", "--n", "60", "--seed", "1", "--out", csv],
+        ["train", "--data", csv, "--gamma", "1.5", "--out", model],
+        ["evaluate", "--model", model, "--data", csv],
+        ["boundary", "--model", model, "--data", csv, "--resolution", "20",
+         "--out", str(tmp_path / "boundary.csv")],
+        ["kernel", "gram", "--data", str(iris_csv), "--label-column", "species",
+         "--gamma", "0.7", "--validate", "--out", str(tmp_path / "gram.csv")],
+        ["simulate", "overlap", "--xp", "0.3", "--xq", "-0.2", "--r", "0.4", "--theta", "0.7"],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "scipy": []}

@@ -9,7 +9,7 @@ from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
-from dsvkernel.kernel import gram
+from dsvkernel.kernel import gram, sq_distances
 from dsvkernel.svm import (
     MulticlassModel,
     SvmConfig,
@@ -160,11 +160,21 @@ class TestBoundaryGrid:
     def _binary_model(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        from dsvkernel.kernel import gram
+        from dsvkernel.kernel import gram, sq_distances
         from dsvkernel.svm import train_binary
 
         config = SvmConfig(c=10.0, tol=1e-8, kernel=KernelConfig.direct(1.0))
         return train_binary(gram(X, 1.0), y, config, X, class_labels=(0, 1))
+
+    def test_lattice_sq_distances_match_the_generic_helper(self):
+        rng = np.random.default_rng(5)
+        xs = np.linspace(-2.3, 1.7, 17)
+        ys = np.linspace(-0.9, 3.1, 11)
+        sv = rng.normal(size=(13, 2))
+        sv[4] = (xs[3], ys[8])  # a support vector on a lattice point
+        grid = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+        lattice = exp.lattice_sq_distances(xs, ys, sv)
+        assert lattice.tobytes() == sq_distances(grid, sv).tobytes()
 
     def test_resolution_two_hits_padded_corners(self, tmp_path):
         model = self._binary_model()
@@ -239,7 +249,7 @@ class TestBoundaryGrid:
     def test_dimension_validated(self, tmp_path):
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, -1.0])
-        from dsvkernel.kernel import gram
+        from dsvkernel.kernel import gram, sq_distances
         from dsvkernel.svm import train_binary
 
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(1.0))

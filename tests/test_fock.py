@@ -100,8 +100,10 @@ class TestMatrixExp:
         assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
 
     def test_diagonal(self):
-        result = matrix_exp(np.diag([1.0, -1.0]))
-        assert_allclose(result, np.diag([math.e, 1.0 / math.e]), rtol=1e-12)
+        result = matrix_exp(np.diag([1j, -2j]))
+        expected = np.diag([complex(math.cos(1.0), math.sin(1.0)),
+                            complex(math.cos(2.0), -math.sin(2.0))])
+        assert_allclose(result, expected, rtol=1e-12)
 
     def test_antihermitian_generator_gives_unitary(self):
         a, adag = ladder_ops(32)
@@ -113,10 +115,18 @@ class TestMatrixExp:
     @pytest.mark.parametrize("n", [2, 7, 33])
     def test_matches_scipy_on_random_matrices(self, n):
         rng = np.random.default_rng(n)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = h - h.conj().T
         expected = scipy_expm(m)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(matrix_exp(m) - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                   np.array([[1j, 2.0], [-2.0, 1j + 1e-17]])],
+                             ids=["real-diagonal", "symmetric", "tiny-real-diagonal"])
+    def test_rejects_non_anti_hermitian(self, m):
+        with pytest.raises(InvalidInputError):
+            matrix_exp(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidDimensionError):
@@ -182,6 +192,13 @@ class TestSqueeze:
     def test_vacuum_amplitude(self):
         s = squeeze(SqueezeParams(0.5, 0.0), 64)
         assert_allclose(s.matrix[0, 0], 1.0 / math.sqrt(math.cosh(0.5)), rtol=1e-10)
+
+    @pytest.mark.parametrize("r", [0.4, 0.8])
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_even_odd_coupling_is_exactly_zero(self, r, theta):
+        s = squeeze(SqueezeParams(r, theta), 64).matrix
+        assert np.count_nonzero(s[0::2, 1::2]) == 0
+        assert np.count_nonzero(s[1::2, 0::2]) == 0
 
     def test_conjugation_exemplar(self):
         # S'(eta) D(x) S(eta) = D(x cosh r + x* e^{2i theta} sinh r)

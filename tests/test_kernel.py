@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.fock import SqueezeParams, circuit_kernel
@@ -17,6 +18,7 @@ from dsvkernel.kernel import (
     gram_cross,
     kernel_scalar,
     kernel_vec,
+    sq_distances,
 )
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -147,6 +149,34 @@ class TestKernelConfig:
         assert again == config
         direct = KernelConfig.direct(1.5)
         assert KernelConfig.from_dict(direct.to_dict()) == direct
+
+
+class TestSqDistances:
+    @staticmethod
+    def _draws(d, rng):
+        a = rng.normal(scale=3.0, size=(40, d))
+        b = rng.normal(scale=3.0, size=(25, d))
+        a[7] = a[3]  # duplicated rows give exact zeros off the diagonal
+        b[5] = a[3]
+        b[9] = b[2]
+        return a, b
+
+    @pytest.mark.parametrize("d", range(12))
+    def test_bitwise_equal_to_scipy(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            a, b = self._draws(d, rng)
+            assert sq_distances(a, b).tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+            expected = squareform(pdist(a, "sqeuclidean"))
+            assert sq_distances(a, a).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_exactly_symmetric(self, d):
+        a, b = self._draws(d, np.random.default_rng(100 + d))
+        both = np.vstack([a, b])
+        sq = sq_distances(both, both)
+        assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()
+        assert sq_distances(a, b).tobytes() == np.ascontiguousarray(sq_distances(b, a).T).tobytes()
 
 
 class TestGram:
