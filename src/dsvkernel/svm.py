@@ -106,45 +106,74 @@ class MulticlassModel:
 def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
     """Maximize the dual on Gram ``K`` for +/-1 labels ``y``.
 
-    Keeps the gradient G = Q alpha - 1 of the minimization form, with
-    Q = (y y^T) * K.  Each step takes i = argmax of -y G over I_up and j by
-    the second-order rule argmin -b^2/a over I_low, then optimizes the pair
-    analytically, clipping any variable that leaves the box to exactly 0 or
-    C.  Stops when max over I_up of -y G minus min over I_low of -y G is at
-    most 2 tol, or after ``max_passes * len(y)`` pair updates.
+    Works with the gradient G = Q alpha - 1 of the minimization form, with
+    Q = (y y^T) * K, through v = -y G.  Each step takes i = argmax of v over
+    I_up and j by the second-order rule argmin -b^2/a over I_low, then
+    optimizes the pair analytically, clipping any variable that leaves the
+    box to exactly 0 or C.  Stops when max over I_up of v minus min over
+    I_low of v is at most 2 tol, or after ``max_passes * len(y)`` pair
+    updates.
+
+    The loop keeps three things between updates: ``v`` itself, updated as
+    v -= K_i y_i d_i + K_j y_j d_j (equal to -y G bit for bit, as y is
+    +/-1); two penalty vectors, -0.0 on I_up (I_low) and -inf (+inf) off
+    it, of which only entries i and j change; and one curvature row
+    a = diag + K_ii - 2 K_i per update.  The pair arithmetic runs on Python
+    floats.
 
     Returns ``(alpha, bias, converged, objective_history)``; the history has
     the dual objective after every len(y) updates plus the final one.
     """
     m = len(y)
-    pos = y > 0
+    budget = max_passes * m
     diag = np.diag(K)
+    labels = y.tolist()
+    neg_y = -y
     alpha = np.zeros(m)
-    grad = -np.ones(m)
+    v = neg_y * -1.0  # G = -1 at alpha = 0
+    # Adding -0.0 leaves every float as it is, signed zeros included, so
+    # v + up and v + low hold v exactly on I_up and I_low.
+    up = np.where(y > 0, -0.0, -np.inf)
+    low = np.where(y > 0, np.inf, -0.0)
+    work = np.empty(m)
+    b = np.empty(m)
+    a = np.empty(m)
+    step = np.empty(m)
+    off = np.empty(m, dtype=bool)
     history = []
     steps = 0
     while True:
-        v = -y * grad
-        above_zero = alpha > 0.0
-        below_c = alpha < c
-        up = np.where(pos, below_c, above_zero)
-        low = np.where(pos, above_zero, below_c)
-        v_up = np.where(up, v, -np.inf)
-        i = int(np.argmax(v_up))
-        g_max = v_up[i]
-        g_min = np.where(low, v, np.inf).min()
-        converged = bool(g_max - g_min <= 2.0 * tol)
-        if converged or steps == max_passes * m:
+        np.add(v, up, work)
+        i = int(work.argmax())
+        g_max = work.item(i)
+        np.add(v, low, work)
+        g_min = work.item(work.argmin())
+        converged = g_max - g_min <= 2.0 * tol
+        if converged or steps == budget:
             break
-        b = g_max - v
-        a = diag + diag[i] - 2.0 * K[i]
-        a = np.where(a > 0.0, a, TAU)
-        j = int(np.argmin(np.where(low & (b > 0.0), -b * b / a, np.inf)))
+        np.subtract(g_max, work, b)
+        K_i = K[i]
+        np.add(diag, diag.item(i), a)
+        np.multiply(K_i, 2.0, step)
+        np.subtract(a, step, a)
+        np.greater(a, 0.0, off)
+        np.logical_not(off, off)
+        np.putmask(a, off, TAU)
+        # argmax of b^2/a over b > 0 is argmin of -b^2/a there, first index
+        # on ties; off I_low, b is -inf.
+        np.multiply(b, b, work)
+        np.divide(work, a, work)
+        np.greater(b, 0.0, off)
+        np.logical_not(off, off)
+        np.putmask(work, off, -np.inf)
+        j = int(work.argmax())
 
-        yi, yj = y[i], y[j]
-        ai, aj = alpha[i], alpha[j]
+        yi, yj = labels[i], labels[j]
+        ai, aj = alpha.item(i), alpha.item(j)
+        gi, gj = -yi * v.item(i), -yj * v.item(j)
+        a_j = a.item(j)
         if yi != yj:
-            delta = (-grad[i] - grad[j]) / a[j]
+            delta = (-gi - gj) / a_j
             diff = ai - aj
             new_i, new_j = ai + delta, aj + delta
             if diff > 0.0:
@@ -158,7 +187,7 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
                 if new_j > c:
                     new_i, new_j = c + diff, c
         else:
-            delta = (grad[i] - grad[j]) / a[j]
+            delta = (gi - gj) / a_j
             total = ai + aj
             new_i, new_j = ai - delta, aj + delta
             if total > c:
@@ -172,14 +201,21 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
                 if new_i < 0.0:
                     new_i, new_j = 0.0, total
         alpha[i], alpha[j] = new_i, new_j
-        grad += y * (K[i] * (yi * (new_i - ai)) + K[j] * (yj * (new_j - aj)))
+        np.multiply(K_i, yi * (new_i - ai), step)
+        np.multiply(K[j], yj * (new_j - aj), work)
+        np.add(step, work, step)
+        np.subtract(v, step, v)
+        for k, yk, ak in ((i, yi, new_i), (j, yj, new_j)):
+            up[k] = -0.0 if (ak < c if yk > 0 else ak > 0.0) else -np.inf
+            low[k] = -0.0 if (ak > 0.0 if yk > 0 else ak < c) else np.inf
         steps += 1
         if steps % m == 0:
-            history.append(_objective(alpha, grad))
-    history.append(_objective(alpha, grad))
+            history.append(_objective(alpha, neg_y * v))
+    history.append(_objective(alpha, neg_y * v))
 
-    free = above_zero & below_c
-    bias = float(v[free].mean()) if free.any() else float(0.5 * (g_max + g_min))
+    free = (alpha > 0.0) & (alpha < c)
+    # work holds v + low; min, unlike argmin, fixes the sign of a zero g_min
+    bias = float(v[free].mean()) if free.any() else 0.5 * (g_max + float(work.min()))
     return alpha, bias, converged, tuple(history)
 
 

@@ -1,4 +1,9 @@
-"""Per-point reference paths for the SVM's batch prediction.
+"""Reference paths for the SVM's dual solver and batch prediction.
+
+:func:`solve_dual_reference` is the straightforward form of the working-set
+loop: it rebuilds the index sets, the gradient view and the curvature row on
+every pair update.  :func:`dsvkernel.svm.solve_dual` must return the same
+bytes for the same input.
 
 :func:`decision_value` sums kernel values one support vector at a time, so
 the cross-Gram path of :func:`dsvkernel.svm.decision_values` can be checked
@@ -11,7 +16,91 @@ import numpy as np
 
 from dsvkernel.errors import InvalidDimensionError
 from dsvkernel.kernel import kernel_vec
-from dsvkernel.svm import MulticlassModel, SvmModel, predict_multiclass_batch
+from dsvkernel.svm import TAU, MulticlassModel, SvmModel, predict_multiclass_batch
+
+
+def solve_dual_reference(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
+    """Maximize the dual on Gram ``K`` for +/-1 labels ``y``.
+
+    Keeps the gradient G = Q alpha - 1 of the minimization form, with
+    Q = (y y^T) * K.  Each step takes i = argmax of -y G over I_up and j by
+    the second-order rule argmin -b^2/a over I_low, then optimizes the pair
+    analytically, clipping any variable that leaves the box to exactly 0 or
+    C.  Stops when max over I_up of -y G minus min over I_low of -y G is at
+    most 2 tol, or after ``max_passes * len(y)`` pair updates.
+
+    Returns ``(alpha, bias, converged, objective_history)``; the history has
+    the dual objective after every len(y) updates plus the final one.
+    """
+    m = len(y)
+    pos = y > 0
+    diag = np.diag(K)
+    alpha = np.zeros(m)
+    grad = -np.ones(m)
+    history = []
+    steps = 0
+    while True:
+        v = -y * grad
+        above_zero = alpha > 0.0
+        below_c = alpha < c
+        up = np.where(pos, below_c, above_zero)
+        low = np.where(pos, above_zero, below_c)
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        g_max = v_up[i]
+        g_min = np.where(low, v, np.inf).min()
+        converged = bool(g_max - g_min <= 2.0 * tol)
+        if converged or steps == max_passes * m:
+            break
+        b = g_max - v
+        a = diag + diag[i] - 2.0 * K[i]
+        a = np.where(a > 0.0, a, TAU)
+        j = int(np.argmin(np.where(low & (b > 0.0), -b * b / a, np.inf)))
+
+        yi, yj = y[i], y[j]
+        ai, aj = alpha[i], alpha[j]
+        if yi != yj:
+            delta = (-grad[i] - grad[j]) / a[j]
+            diff = ai - aj
+            new_i, new_j = ai + delta, aj + delta
+            if diff > 0.0:
+                if new_j < 0.0:
+                    new_i, new_j = diff, 0.0
+                if new_i > c:
+                    new_i, new_j = c, c - diff
+            else:
+                if new_i < 0.0:
+                    new_i, new_j = 0.0, -diff
+                if new_j > c:
+                    new_i, new_j = c + diff, c
+        else:
+            delta = (grad[i] - grad[j]) / a[j]
+            total = ai + aj
+            new_i, new_j = ai - delta, aj + delta
+            if total > c:
+                if new_i > c:
+                    new_i, new_j = c, total - c
+                if new_j > c:
+                    new_i, new_j = total - c, c
+            else:
+                if new_j < 0.0:
+                    new_i, new_j = total, 0.0
+                if new_i < 0.0:
+                    new_i, new_j = 0.0, total
+        alpha[i], alpha[j] = new_i, new_j
+        grad += y * (K[i] * (yi * (new_i - ai)) + K[j] * (yj * (new_j - aj)))
+        steps += 1
+        if steps % m == 0:
+            history.append(_objective(alpha, grad))
+    history.append(_objective(alpha, grad))
+
+    free = above_zero & below_c
+    bias = float(v[free].mean()) if free.any() else float(0.5 * (g_max + g_min))
+    return alpha, bias, converged, tuple(history)
+
+
+def _objective(alpha: np.ndarray, grad: np.ndarray) -> float:
+    return float(alpha.sum() - 0.5 * alpha @ (grad + 1.0))
 
 
 def decision_value(model: SvmModel, x: np.ndarray) -> float:
