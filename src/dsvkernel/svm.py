@@ -13,6 +13,12 @@ stops when the maximal violation gap is at most 2 ``tol``, which is when
 some bias meets every KKT condition to within ``tol``.  No randomness is
 involved: training is deterministic given the Gram matrix and labels.
 
+Between updates the solver keeps v = -y G (labels times the dual gradient)
+and two penalty vectors that restrict the selections to the index sets I_up
+and I_low, and it builds one curvature row per update, all in buffers
+allocated once per fit; an update rewrites v and two entries of each
+penalty vector.
+
 Multiclass problems train one binary machine per class pair and predict by
 majority vote.  Trained models are immutable; prediction is pure and may run
 in parallel, while a single training run is inherently sequential.
@@ -115,11 +121,13 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
     updates.
 
     The loop keeps three things between updates: ``v`` itself, updated as
-    v -= K_i y_i d_i + K_j y_j d_j (equal to -y G bit for bit, as y is
-    +/-1); two penalty vectors, -0.0 on I_up (I_low) and -inf (+inf) off
-    it, of which only entries i and j change; and one curvature row
-    a = diag + K_ii - 2 K_i per update.  The pair arithmetic runs on Python
-    floats.
+    v -= K_i y_i d_i + K_j y_j d_j with d the change in alpha (the same
+    values as -y G, since y is +/-1); two penalty vectors, -0.0 on I_up
+    (I_low) and -inf (+inf) off it, of which only entries i and j change;
+    and one curvature row a = diag + K_ii - 2 K_i per update, with every
+    entry that is not > 0 set to ``TAU``.  The pair arithmetic runs on
+    Python floats in the same order as in the plain loop, so alpha, bias,
+    flag and history are byte-identical to it.
 
     Returns ``(alpha, bias, converged, objective_history)``; the history has
     the dual objective after every len(y) updates plus the final one.
@@ -214,7 +222,8 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
     history.append(_objective(alpha, neg_y * v))
 
     free = (alpha > 0.0) & (alpha < c)
-    # work holds v + low; min, unlike argmin, fixes the sign of a zero g_min
+    # work still holds v + low; take its min as the plain loop did, since
+    # among tied zeros argmin may pick one of the other sign
     bias = float(v[free].mean()) if free.any() else 0.5 * (g_max + float(work.min()))
     return alpha, bias, converged, tuple(history)
 

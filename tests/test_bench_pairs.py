@@ -1,0 +1,98 @@
+"""scripts/bench_pairs.py on two small synthetic records directories."""
+
+import importlib.util
+import json
+import shutil
+
+import pytest
+from conftest import REPO_ROOT
+
+_spec = importlib.util.spec_from_file_location("bench_pairs", REPO_ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _record(workload, seed, ops, rss, machine, failed=0, trace=0):
+    return {
+        "workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
+        "machine": machine,
+        "steal_ticks": {"before": 100 + seed, "after": 101 + seed},
+        "metrics": {
+            "ops_per_s": {"value": ops, "unit": "1/s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+        "attempted": 10, "failed": failed,
+    }
+
+
+def _checkout(root, name, runs, machine):
+    checkout = root / name
+    records = checkout / ".perfbench" / "records"
+    records.mkdir(parents=True)
+    shutil.copy(REPO_ROOT / "BENCHMARK.json", checkout / "BENCHMARK.json")
+    for workload, seed, ops, rss, *failed in runs:
+        record = _record(workload, seed, ops, rss, machine, *failed)
+        (records / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+    # traced runs are not end-to-end measurements and must be ignored
+    traced = _record("sweep-diabetes", 1, 1.0, 1.0, machine, trace=1)
+    (records / "sweep-diabetes-seed1-trace1.json").write_text(json.dumps(traced))
+    return checkout
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    parent = _checkout(tmp_path, "parent", [
+        ("sweep-diabetes", 1, 10.0, 40.0), ("sweep-diabetes", 2, 12.0, 41.0),
+        ("sweep-diabetes", 3, 11.0, 42.0), ("sweep-diabetes", 4, 13.0, 43.0),
+        ("sweep-diabetes", 5, 14.0, 44.0),
+        ("simulate-box", 1, 300.0, 50.0),
+    ], {"nproc": 2, "numpy": "old"})
+    change = _checkout(tmp_path, "change", [
+        ("sweep-diabetes", 1, 20.0, 40.0), ("sweep-diabetes", 2, 11.0, 40.5),
+        ("sweep-diabetes", 3, 30.0, 42.0), ("sweep-diabetes", 4, 25.0, 44.0),
+        ("sweep-diabetes", 5, 15.0, 43.0, 1),
+        ("sweep-diabetes", 6, 99.0, 1.0),  # no parent run: left out
+    ], {"nproc": 2, "numpy": "new"})
+    return parent, change
+
+
+def test_medians_quartiles_and_pairs(checkouts):
+    parent, change = checkouts
+    bench = bench_pairs.build(parent, change, "demo", "a demo")
+    assert list(bench["workloads"]) == ["sweep-diabetes"]  # simulate-box has no change run
+    sweep = bench["workloads"]["sweep-diabetes"]
+    ops = sweep["ops_per_s"]
+    assert ops["unit"] == "1/s" and ops["better"] == "higher"
+    assert ops["parent"] == {"1": 10.0, "2": 12.0, "3": 11.0, "4": 13.0, "5": 14.0}
+    assert ops["change"]["5"] == 15.0 and "6" not in ops["change"]
+    assert ops["parent_median"] == 12.0 and ops["change_median"] == 20.0
+    assert ops["parent_quartiles"] == [11.0, 13.0]
+    assert ops["change_quartiles"] == [15.0, 25.0]
+    assert ops["change_better_pairs"] == "4/5"
+    rss = sweep["peak_rss_mb"]
+    assert rss["better"] == "lower"
+    assert rss["change_better_pairs"] == "2/5 (2 ties)"
+    assert sweep["steal_ticks"]["change"]["3"] == {"before": 103, "after": 104}
+    assert sweep["failed_ops"] == {"parent": 0, "change": 1}
+    assert bench["machine"] == {"parent": {"nproc": 2, "numpy": "old"},
+                                "change": {"nproc": 2, "numpy": "new"}}
+    assert bench["command"].endswith("--seconds 30 --trace 0")
+    assert "seeds 1-5;" in bench["protocol"]
+
+
+def test_main_writes_the_labelled_file(checkouts, tmp_path, capsys, monkeypatch):
+    parent, change = checkouts
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--label", "demo", "--summary", "a demo"])
+    assert code == 0
+    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert written["label"] == "demo" and written["summary"] == "a demo"
+    assert "sweep-diabetes   ops_per_s    12 -> 20 1/s" in capsys.readouterr().out
+
+
+def test_no_common_seed_is_an_error(tmp_path):
+    parent = _checkout(tmp_path, "parent", [("sweep-diabetes", 1, 1.0, 1.0)], {})
+    change = _checkout(tmp_path, "change", [("sweep-diabetes", 2, 1.0, 1.0)], {})
+    with pytest.raises(SystemExit):
+        bench_pairs.build(parent, change, "demo", "a demo")

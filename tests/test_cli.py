@@ -350,6 +350,72 @@ class TestTrainEvaluateBoundary:
         assert all(machine["converged"] is True for machine in payload["machines"])
 
 
+
+def _accuracy_from_model_file(model_path: Path, csv: Path, label_column: str) -> float:
+    """Accuracy counted point by point from the model file's own numbers: one
+    support vector at a time, then the one-vs-one vote (most wins, then the
+    largest summed |decision value|, then the lowest class)."""
+    doc = json.loads(model_path.read_text())
+    data = apply_transform_chain(load_csv(csv, label_column), doc["preprocessing"])
+    gamma = doc["kernel"]["gamma"]
+    correct = 0
+    for x, label in zip(data.features.tolist(), data.labels.tolist()):
+        votes = {c: [0, 0.0] for c in doc["classes"]}
+        for machine in doc["machines"]:
+            d = machine["bias"] + sum(
+                ay * math.exp(-gamma * sum((a - b) ** 2 for a, b in zip(x, sv)))
+                for ay, sv in zip(machine["alpha_y"], machine["support_vectors"])
+            )
+            neg, pos = machine["pair"]
+            votes[pos if d >= 0.0 else neg][0] += 1
+            votes[neg][1] += abs(d)
+            votes[pos][1] += abs(d)
+        predicted = max(doc["classes"], key=lambda c: (*votes[c], -c))
+        correct += doc["label_names"][predicted] == data.label_names[label]
+    return correct / len(data.labels)
+
+
+class TestEdgeContracts:
+    """`train` then `evaluate` at the edges: both exit 0, and the reported
+    accuracy is the one the saved model gives point by point."""
+
+    def _train_and_evaluate(self, capsys, tmp_path, csv, *train_args):
+        model_path = tmp_path / "model.json"
+        code, _, err = run_cli(capsys, "train", "--data", str(csv), "--label-column",
+                               "species", *train_args, "--out", str(model_path))
+        assert code == 0, err
+        code, stdout, err = run_cli(capsys, "evaluate", "--model", str(model_path),
+                                    "--data", str(csv))
+        assert code == 0, err
+        accuracy = parse_json(stdout)["accuracy"]
+        assert accuracy == _accuracy_from_model_file(model_path, csv, "species")
+        return accuracy
+
+    def test_gamma_1e_minus_300_every_kernel_value_is_one(self, tmp_path, capsys, iris_csv):
+        # every curvature is TAU, every decision value the same: one class wins
+        accuracy = self._train_and_evaluate(
+            capsys, tmp_path, iris_csv, "--features", "sepal_width,petal_width",
+            "--gamma", "1e-300",
+        )
+        assert accuracy == 1 / 3
+
+    def test_gamma_1e300_the_gram_is_the_identity(self, tmp_path, capsys, iris_csv):
+        accuracy = self._train_and_evaluate(
+            capsys, tmp_path, iris_csv, "--features", "sepal_width,petal_width",
+            "--gamma", "1e300",
+        )
+        assert accuracy == 136 / 150
+
+    def test_a_class_of_two_rows(self, tmp_path, capsys, iris_csv):
+        header, *rows = iris_csv.read_text().splitlines()
+        setosa = [r for r in rows if r.endswith(",setosa")]
+        others = [r for r in rows if not r.endswith(",setosa")]
+        path = tmp_path / "two_setosa.csv"
+        path.write_text("\n".join([header, *others, *setosa[:2]]) + "\n")
+        accuracy = self._train_and_evaluate(capsys, tmp_path, path, "--gamma", "1")
+        assert accuracy == 98 / 102
+
+
 class TestSweepCli:
     def test_generator_sweep(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
