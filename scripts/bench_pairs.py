@@ -2,12 +2,17 @@
 """Write a ``BENCH_<label>.json`` from the benchmark records of two checkouts.
 
     python3 scripts/bench_pairs.py --parent PARENT --change CHANGE \\
-        --label LABEL --summary TEXT
+        --label LABEL --summary TEXT \\
+        [--run [--seeds 1-5] [--seconds 30] [--workloads W1,W2]]
 
 PARENT and CHANGE are checkouts in which ``perfbench/run.py`` has run with
 ``--trace 0``, one run per (workload, seed), so that each holds
-``.perfbench/records/<workload>-seed<N>-trace0.json``.  Seeds that only one
-side has are left out.  For every workload and end-to-end metric the file
+``.perfbench/records/<workload>-seed<N>-trace0.json``.  With ``--run`` the
+script makes those runs itself first: for each seed in turn, each workload
+in turn (by default every workload of the change's ``BENCHMARK.json``) on
+both sides, the parent first on odd seeds and the change first on even
+ones; the file then covers only those seeds and workloads.  Seeds that only
+one side has are left out.  For every workload and end-to-end metric the file
 holds both sides' per-seed values, their medians and inclusive quartiles,
 and how many seeds the change is better on; it also holds the steal ticks
 and failed operations of every run and each side's machine facts.  Which
@@ -20,6 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -29,6 +36,31 @@ PROTOCOL = (
     "interleaved per seed; the first pass of every run is warm-up and excluded by the "
     "benchmark; medians and quartiles over the seeds"
 )
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Seeds from ``1-5``, ``1,3,5`` or a mix of the two."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def run_pairs(parent: Path, change: Path, seeds: list[int], seconds: float,
+              workloads: list[str]) -> None:
+    """One untraced ``perfbench/run.py`` run per (seed, workload, side)."""
+    for seed in seeds:
+        order = (parent, change) if seed % 2 else (change, parent)
+        for workload in workloads:
+            for checkout in order:
+                argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", f"{seconds:g}", "--trace", "0"]
+                print(f"bench_pairs: {checkout}: {' '.join(argv)}", flush=True)
+                code = subprocess.run([sys.executable, *argv], cwd=checkout).returncode
+                if code != 0:
+                    raise SystemExit(f"bench_pairs: {workload} seed {seed} in {checkout} "
+                                     f"exited {code}")
 
 
 def read_records(checkout: Path) -> dict:
@@ -79,16 +111,25 @@ def cpu_model() -> str | None:
     return None
 
 
-def build(parent: Path, change: Path, label: str, summary: str) -> dict:
+def benchmark_workloads(change: Path) -> list[str]:
+    """The workloads of the change's ``BENCHMARK.json``, in its order."""
+    benchmark = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [w["name"] for w in benchmark["workloads"]]
+
+
+def build(parent: Path, change: Path, label: str, summary: str,
+          only_seeds: list[int] | None = None, only_workloads: list[str] | None = None) -> dict:
+    """The BENCH document, optionally restricted to some seeds and workloads."""
     records = {"parent": read_records(parent), "change": read_records(change)}
     benchmark = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     workloads = {}
     all_seeds: set[int] = set()
     seconds: set[float] = set()
-    for workload in [w["name"] for w in benchmark["workloads"]]:
+    for workload in only_workloads or benchmark_workloads(change):
         runs = {side: records[side].get(workload, {}) for side in SIDES}
-        seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+        seeds = set(runs["parent"]) & set(runs["change"])
+        seeds = sorted(seeds & set(only_seeds) if only_seeds else seeds)
         if not seeds:
             continue
         all_seeds.update(seeds)
@@ -132,8 +173,22 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="change checkout")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--summary", required=True, help="one line on what changed")
+    parser.add_argument("--run", action="store_true",
+                        help="run the benchmark in both checkouts first")
+    parser.add_argument("--seeds", type=parse_seeds, default="1-5",
+                        help="with --run: seeds such as 1-5 or 1,3,5 (default 1-5)")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="with --run: seconds per run (default 30)")
+    parser.add_argument("--workloads", type=lambda text: text.split(","),
+                        help="with --run: comma-separated workloads (default: all)")
     args = parser.parse_args(argv)
-    bench = build(args.parent, args.change, args.label, args.summary)
+    if args.run:
+        workloads = args.workloads or benchmark_workloads(args.change)
+        run_pairs(args.parent, args.change, args.seeds, args.seconds, workloads)
+        bench = build(args.parent, args.change, args.label, args.summary,
+                      args.seeds, workloads)
+    else:
+        bench = build(args.parent, args.change, args.label, args.summary)
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(out)

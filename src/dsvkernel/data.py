@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -507,15 +508,23 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
     return _subset(train_idx, "train"), _subset(test_idx, "test")
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
     """Write ``text`` as UTF-8 bytes (no newline translation) to a temporary
     file beside ``path``, then rename it over ``path``: readers see the old
-    file or the whole new one, never a partial write."""
+    file or the whole new one, never a partial write.
+
+    ``text`` is one string or an iterable of string pieces, written in order
+    as they come, so a caller can stream a large file without holding it.
+    If producing a piece raises, the temporary file is removed and ``path``
+    is left as it was.
+    """
     path = Path(path)
+    pieces = (text,) if isinstance(text, str) else text
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(text.encode("utf-8"))
+            for piece in pieces:
+                f.write(piece.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -68,6 +68,13 @@ DEFAULT_BOUNDARY_RESOLUTION = 200
 #: boundary-grid bounding box.
 BOUNDARY_PADDING = 0.10
 
+#: Lattice rows (x2 values) a boundary grid computes and writes at a time.
+#: A multiple of 16: OpenBLAS's matrix-vector product handles its outputs in
+#: groups of 4, and when every full band holds a multiple of 16 points each
+#: point lands in the same group as in one product over the whole lattice,
+#: so (at one BLAS thread) the values are those of a whole-lattice export.
+BOUNDARY_BAND_ROWS = 16
+
 DEFAULT_NOISE_SIGMA = {"moons": 0.15, "circles": 0.08, "spirals": 0.5}
 
 
@@ -401,6 +408,10 @@ def boundary_grid(
     round-trip ``repr``.  For one-vs-one models the label is the vote of
     :func:`dsvkernel.svm.vote` and the decision value is the summed signed
     decision value toward that class over the machines it participates in.
+
+    The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
+    x2 values at a time, streamed to the atomic writer, so memory grows with
+    ``resolution`` rather than its square.
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
@@ -415,27 +426,32 @@ def boundary_grid(
     pad2 = BOUNDARY_PADDING * (x2_hi - x2_lo)
     xs = np.linspace(x1_lo - pad1, x1_hi + pad1, resolution)
     ys = np.linspace(x2_lo - pad2, x2_hi + pad2, resolution)
-
-    if isinstance(model, MulticlassModel):
-        decisions = [_lattice_decisions(machine, xs, ys) for _, machine in model.machines]
-        labels = vote(model, decisions)
-        values = np.zeros(resolution * resolution)
-        for ((neg, pos), _), d in zip(model.machines, decisions):
-            values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
-    else:
-        values = _lattice_decisions(model, xs, ys)
-        neg, pos = model.labels
-        labels = np.where(values >= 0.0, pos, neg)
-
-    points = product([repr(y) for y in ys.tolist()], [repr(x) for x in xs.tolist()])
-    lines = ["x1,x2,decision_value,label"]
-    lines += [
-        f"{x},{y},{v!r},{lab}"
-        for (y, x), v, lab in zip(points, values.tolist(), labels.tolist())
-    ]
     out_path = Path(out_path)
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
+    atomic_write_text(out_path, _boundary_lines(model, xs, ys))
     return out_path
+
+
+def _boundary_lines(model, xs: np.ndarray, ys: np.ndarray):
+    """The boundary CSV's header, then one string of lines per band."""
+    yield "x1,x2,decision_value,label\n"
+    x_reprs = [repr(x) for x in xs.tolist()]
+    for start in range(0, len(ys), BOUNDARY_BAND_ROWS):
+        band = ys[start:start + BOUNDARY_BAND_ROWS]
+        if isinstance(model, MulticlassModel):
+            decisions = [_lattice_decisions(machine, xs, band) for _, machine in model.machines]
+            labels = vote(model, decisions)
+            values = np.zeros(len(labels))
+            for ((neg, pos), _), d in zip(model.machines, decisions):
+                values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
+        else:
+            values = _lattice_decisions(model, xs, band)
+            neg, pos = model.labels
+            labels = np.where(values >= 0.0, pos, neg)
+        points = product([repr(y) for y in band.tolist()], x_reprs)
+        yield "".join(
+            f"{x},{y},{v!r},{lab}\n"
+            for (y, x), v, lab in zip(points, values.tolist(), labels.tolist())
+        )
 
 
 def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.ndarray:

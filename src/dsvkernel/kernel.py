@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -152,9 +153,11 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.values)[0])
 
     def write_csv(self, path) -> None:
-        lines = [f"# gamma={self.gamma!r}", f"# fingerprint={self.data_fingerprint}"]
-        lines += [",".join(repr(float(v)) for v in row) for row in self.values]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        """Two ``#`` header lines, then one line per row of ``repr`` floats,
+        streamed to the atomic writer one row at a time."""
+        header = f"# gamma={self.gamma!r}\n# fingerprint={self.data_fingerprint}\n"
+        rows = (",".join(map(repr, row.tolist())) + "\n" for row in self.values)
+        atomic_write_text(path, chain([header], rows))
 
 
 def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:

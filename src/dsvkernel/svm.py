@@ -131,7 +131,12 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
 
     Returns ``(alpha, bias, converged, objective_history)``; the history has
     the dual objective after every len(y) updates plus the final one.
+    Raises :class:`DegenerateLabelsError` unless ``y`` holds both signs:
+    with one sign, I_up or I_low starts empty and the stopping test would
+    pass at once with an infinite bias.
     """
+    if not ((y > 0).any() and (y < 0).any()):
+        raise DegenerateLabelsError("training labels contain a single class")
     m = len(y)
     budget = max_passes * m
     diag = np.diag(K)
@@ -253,8 +258,6 @@ def train_binary(
         )
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be +/-1")
-    if len(np.unique(y)) < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
     if gram_matrix.gamma != config.kernel.gamma:
         raise InvalidInputError(
             f"gram gamma {gram_matrix.gamma} != kernel gamma {config.kernel.gamma}"

@@ -96,3 +96,76 @@ def test_no_common_seed_is_an_error(tmp_path):
     change = _checkout(tmp_path, "change", [("sweep-diabetes", 2, 1.0, 1.0)], {})
     with pytest.raises(SystemExit):
         bench_pairs.build(parent, change, "demo", "a demo")
+
+
+#: A perfbench/run.py that logs its side, workload and seed, then writes the
+#: record a real untraced run would.
+STUB_RUN = """
+import argparse, json, pathlib
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag)
+a = p.parse_args()
+root = pathlib.Path(__file__).resolve().parent.parent
+with open({log!r}, "a") as f:
+    f.write(f"{{root.name}} {{a.workload}} {{a.seed}} {{a.seconds}} {{a.trace}}\\n")
+records = root / ".perfbench" / "records"
+records.mkdir(parents=True, exist_ok=True)
+record = {{
+    "workload": a.workload, "seed": int(a.seed), "seconds": float(a.seconds), "trace": 0,
+    "machine": {{}}, "steal_ticks": {{"before": 0, "after": 0}}, "attempted": 1, "failed": 0,
+    "metrics": {{"ops_per_s": {{"value": {ops} + int(a.seed), "unit": "1/s"}}}},
+}}
+(records / f"{{a.workload}}-seed{{a.seed}}-trace0.json").write_text(json.dumps(record))
+"""
+
+
+def _stub_checkout(root, name, log, ops, stale=()):
+    checkout = _checkout(root, name, stale, {})
+    (checkout / "perfbench").mkdir()
+    (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(log=str(log), ops=ops))
+    return checkout
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("1-5") == [1, 2, 3, 4, 5]
+    assert bench_pairs.parse_seeds("2,7-8,11") == [2, 7, 8, 11]
+
+
+def test_run_interleaves_sides_and_workloads(tmp_path, monkeypatch):
+    log = tmp_path / "order.log"
+    # a stale record of a seed and a workload this run leaves out
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0,
+                            stale=[("sweep-diabetes", 9, 1.0, 1.0)])
+    change = _stub_checkout(tmp_path, "change", log, 20.0,
+                            stale=[("simulate-box", 1, 1.0, 1.0)])
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--label", "demo",
+        "--summary", "a demo", "--run", "--seeds", "1-2", "--seconds", "3",
+        "--workloads", "sweep-diabetes,boundary-export",
+    ])
+    assert code == 0
+    assert log.read_text().splitlines() == [
+        "parent sweep-diabetes 1 3 0", "change sweep-diabetes 1 3 0",
+        "parent boundary-export 1 3 0", "change boundary-export 1 3 0",
+        "change sweep-diabetes 2 3 0", "parent sweep-diabetes 2 3 0",
+        "change boundary-export 2 3 0", "parent boundary-export 2 3 0",
+    ]
+    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert list(written["workloads"]) == ["sweep-diabetes", "boundary-export"]
+    ops = written["workloads"]["sweep-diabetes"]["ops_per_s"]
+    assert ops["parent"] == {"1": 11.0, "2": 12.0}
+    assert ops["change"] == {"1": 21.0, "2": 22.0}
+    assert written["command"].endswith("--seconds 3 --trace 0")
+    assert "seeds 1-2;" in written["protocol"]
+
+
+def test_a_failed_run_stops_the_script(tmp_path):
+    log = tmp_path / "order.log"
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0)
+    change = _stub_checkout(tmp_path, "change", log, 20.0)
+    (change / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    with pytest.raises(SystemExit, match="seed 1"):
+        bench_pairs.run_pairs(parent, change, [1], 3.0, ["sweep-diabetes"])
+    assert log.read_text().splitlines() == ["parent sweep-diabetes 1 3 0"]

@@ -8,6 +8,7 @@ from dsvkernel.data import (
     SPIRAL_RADIUS_PER_TURN,
     LabeledDataset,
     SplitSpec,
+    atomic_write_text,
     load_csv,
     make_circles,
     make_moons,
@@ -356,3 +357,25 @@ class TestSaveCsv:
         loaded = load_csv(out, "label")
         assert np.max(np.abs(loaded.features - data.features)) == 0.0
         assert np.array_equal(loaded.labels, data.labels)
+
+
+class TestAtomicWriteText:
+    def test_pieces_are_written_in_order(self, tmp_path):
+        out = tmp_path / "f.txt"
+        atomic_write_text(out, (f"{k}\n" for k in range(3)))
+        assert out.read_bytes() == b"0\n1\n2\n"
+        atomic_write_text(out, "whole\n")
+        assert out.read_bytes() == b"whole\n"
+
+    def test_a_piece_that_raises_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "f.txt"
+        out.write_bytes(b"old\n")
+
+        def pieces():
+            yield "new first line\n"
+            raise RuntimeError("failed partway")
+
+        with pytest.raises(RuntimeError, match="partway"):
+            atomic_write_text(out, pieces())
+        assert out.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,21 +143,76 @@ class TestSweep:
         assert exp.select_gamma(rows) == 1.1
 
 
+def _box(features):
+    return tuple((float(features[:, k].min()), float(features[:, k].max())) for k in (0, 1))
+
+
+def binary_moons_machine(n=60, seed=0):
+    """A binary machine at gamma 1.5 on generated moons, with their bounding
+    box."""
+    moons = make_moons(n, 0.15, seed=seed)
+    y = np.where(moons.labels == 1, 1.0, -1.0)
+    config = SvmConfig(kernel=KernelConfig.direct(1.5))
+    model = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
+    return model, _box(moons.features)
+
+
+def vote_tie_model():
+    """A 3-class model whose votes tie over much of its lattice, with bounds.
+
+    One support vector at the origin with kernel value k at a point: k >= 0.5
+    votes 1, 2, 2; below that every class gets one vote, and class 1 wins on
+    magnitude while k > 0; where k underflows to 0 the magnitudes tie exactly
+    too and the lowest class wins.
+    """
+    def machine(neg, pos, bias):
+        return SvmModel(
+            support_indices=np.array([0]), alphas=np.array([1.0]),
+            sv_labels=np.array([1.0]), support_vectors=np.array([[0.0, 0.0]]),
+            bias=bias, labels=(neg, pos), kernel=KernelConfig.direct(1.0),
+            converged=True, objective_history=(),
+        )
+
+    model = MulticlassModel(
+        machines=(
+            ((0, 1), machine(0, 1, 0.5)),
+            ((0, 2), machine(0, 2, -0.5)),
+            ((1, 2), machine(1, 2, 0.5)),
+        ),
+        classes=(0, 1, 2),
+    )
+    return model, ((-1.0, 40.0), (-1.0, 40.0))
+
+
+#: Run in a fresh interpreter with one BLAS thread: boundary_grid bands
+#: against the reference's single whole-lattice product.
+BAND_EDGE_CHECK = """
+import sys
+from pathlib import Path
+
+from boundary_reference import reference_boundary_csv
+from test_experiment import binary_moons_machine, vote_tie_model
+
+from dsvkernel.experiment import boundary_grid
+
+out = Path(sys.argv[1])
+for name, (model, bounds) in (("binary", binary_moons_machine()), ("vote-tie", vote_tie_model())):
+    for resolution in (41, 77):
+        path = boundary_grid(model, bounds, resolution, out / f"{name}-{resolution}.csv")
+        if path.read_bytes() != reference_boundary_csv(model, bounds, resolution).encode():
+            print(f"{name} at resolution {resolution} differs from the reference")
+"""
+
+
 @pytest.fixture(scope="module")
 def boundary_models(iris_csv):
     """A binary moons machine and a 3-class iris model on two features, each
     with the bounding box of its training rows."""
-    def box(features):
-        return tuple((float(features[:, k].min()), float(features[:, k].max())) for k in (0, 1))
-
-    moons = make_moons(60, 0.15, seed=0)
-    y = np.where(moons.labels == 1, 1.0, -1.0)
-    config = SvmConfig(kernel=KernelConfig.direct(1.5))
-    binary = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
     iris = load_csv(iris_csv, "species", ["sepal_width", "petal_width"])
+    config = SvmConfig(kernel=KernelConfig.direct(1.5))
     return {
-        "binary": (binary, box(moons.features)),
-        "one_vs_one": (train_multiclass(iris, config), box(iris.features)),
+        "binary": binary_moons_machine(),
+        "one_vs_one": (train_multiclass(iris, config), _box(iris.features)),
     }
 
 
@@ -220,31 +280,41 @@ class TestBoundaryGrid:
         assert out.read_bytes() == reference_boundary_csv(model, bounds, resolution).encode()
 
     def test_vote_ties_match_reference(self, tmp_path):
-        # one support vector at the origin with kernel value k at a point:
-        # k >= 0.5 votes 1, 2, 2; below that every class gets one vote, and
-        # class 1 wins on magnitude while k > 0; where k underflows to 0 the
-        # magnitudes tie exactly too and the lowest class wins
-        def machine(neg, pos, bias):
-            return SvmModel(
-                support_indices=np.array([0]), alphas=np.array([1.0]),
-                sv_labels=np.array([1.0]), support_vectors=np.array([[0.0, 0.0]]),
-                bias=bias, labels=(neg, pos), kernel=KernelConfig.direct(1.0),
-                converged=True, objective_history=(),
-            )
-
-        model = MulticlassModel(
-            machines=(
-                ((0, 1), machine(0, 1, 0.5)),
-                ((0, 2), machine(0, 2, -0.5)),
-                ((1, 2), machine(1, 2, 0.5)),
-            ),
-            classes=(0, 1, 2),
-        )
-        bounds = ((-1.0, 40.0), (-1.0, 40.0))
+        model, bounds = vote_tie_model()
         out = exp.boundary_grid(model, bounds, 41, tmp_path / "g.csv")
         text = out.read_text()
         assert text == reference_boundary_csv(model, bounds, 41)
         assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == {"0", "1", "2"}
+
+    def test_bands_match_the_whole_lattice_reference(self, tmp_path):
+        band = exp.BOUNDARY_BAND_ROWS
+        assert band % 16 == 0
+        # more than one band, the last one partial
+        assert all(r > band and r % band for r in (41, 77))
+        tests_dir = Path(__file__).resolve().parent
+        package_root = Path(exp.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(tests_dir), str(package_root)])}
+        result = subprocess.run(
+            [sys.executable, "-c", BAND_EDGE_CHECK, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        assert len(list(tmp_path.glob("*.csv"))) == 4
+
+    def test_peak_memory_is_a_band_not_the_lattice(self, tmp_path):
+        model, bounds = binary_moons_machine(n=300, seed=1)
+        assert model.n_support >= 30
+        tracemalloc.start()
+        try:
+            exp.boundary_grid(model, bounds, 300, tmp_path / "g.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 90,000-point cross Gram alone would take 90,000 x 8 bytes per
+        # support vector, over 21 MB
+        assert peak < 5_000_000
 
     def test_dimension_validated(self, tmp_path):
         X = np.array([[1.0], [-1.0]])

@@ -232,6 +232,14 @@ class TestGram:
         row = [float(v) for v in lines[2].split(",")]
         assert_allclose(row, g.values[0])
 
+    def test_streamed_csv_equals_the_whole_text(self, tmp_path):
+        g = gram(np.random.default_rng(3).normal(size=(9, 2)), 0.7)
+        out = tmp_path / "gram.csv"
+        g.write_csv(out)
+        lines = [f"# gamma={g.gamma!r}", f"# fingerprint={g.data_fingerprint}"]
+        lines += [",".join(repr(float(v)) for v in row) for row in g.values]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_constructor_validates_symmetry(self):
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(InvalidInputError):

@@ -2,16 +2,18 @@
 
 The two must agree byte for byte: the alphas, the repr of the bias, the
 convergence flag and the objective history, on converged and budget-capped
-runs alike.
+runs alike.  Labels of one sign are rejected instead.
 """
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from svm_reference import solve_dual_reference
 
+from dsvkernel.errors import DegenerateLabelsError
 from dsvkernel.experiment import DEFAULT_GAMMA_GRID, ExperimentSpec, FileSpec, prepare
 from dsvkernel.kernel import gram
 from dsvkernel.svm import SvmConfig, solve_dual
@@ -57,7 +59,18 @@ def test_random_instances_match_the_reference(
     y = rng.choice([-1.0, 1.0], size=m + n_duplicates)
     # None: the linear Gram, whose diagonal is not all ones
     K = X @ X.T if gamma is None else gram(X, gamma).values
-    assert_same_bytes(K, y, c, tol, max_passes)
+    if len(np.unique(y)) < 2:
+        with pytest.raises(DegenerateLabelsError):
+            solve_dual(K, y, c, tol, max_passes)
+    else:
+        assert_same_bytes(K, y, c, tol, max_passes)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_labels_of_one_sign_are_rejected(sign):
+    # the reference loop reports these as converged with an infinite bias
+    with pytest.raises(DegenerateLabelsError):
+        solve_dual(np.eye(3), np.full(3, sign), 1.0, 1e-3, 1)
 
 
 def _pair_machines(spec):
