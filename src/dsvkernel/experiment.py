@@ -319,13 +319,6 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
     return path
 
 
-def reports_equal_ignoring_timings(a: dict, b: dict) -> bool:
-    a, b = dict(a), dict(b)
-    a.pop("timings", None)
-    b.pop("timings", None)
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     """Split, optionally standardize, and train/evaluate one SVM per gamma.
 
@@ -395,19 +388,15 @@ def sweep(spec: ExperimentSpec, gamma_grid, out_dir=None) -> ExperimentReport:
     return report
 
 
-def boundary_grid(
-    model: SvmModel | MulticlassModel,
-    bounds,
-    resolution: int,
-    out_path,
-) -> Path:
+def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> Path:
     """Decision values over a lattice spanning ``bounds`` padded 10% per side.
 
     Only defined for 2-feature models.  Rows are written x2-major (x1 varies
     fastest) as ``x1,x2,decision_value,label``, each float as its shortest
-    round-trip ``repr``.  For one-vs-one models the label is the vote of
-    :func:`dsvkernel.svm.vote` and the decision value is the summed signed
-    decision value toward that class over the machines it participates in.
+    round-trip ``repr``.  The label is the vote of :func:`dsvkernel.svm.vote`
+    and the decision value is the summed signed decision value toward that
+    class over the machines it participates in; for a 2-class model, whose
+    one machine decides every point, that is the machine's |decision value|.
 
     The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
     x2 values at a time, streamed to the atomic writer, so memory grows with
@@ -415,10 +404,7 @@ def boundary_grid(
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
-    if isinstance(model, MulticlassModel):
-        dim = model.machines[0][1].support_vectors.shape[1]
-    else:
-        dim = model.support_vectors.shape[1]
+    dim = model.machines[0][1].support_vectors.shape[1]
     if dim != 2:
         raise InvalidDimensionError(f"boundary grids need 2-feature models, got {dim}")
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounds
@@ -431,22 +417,17 @@ def boundary_grid(
     return out_path
 
 
-def _boundary_lines(model, xs: np.ndarray, ys: np.ndarray):
+def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
     """The boundary CSV's header, then one string of lines per band."""
     yield "x1,x2,decision_value,label\n"
     x_reprs = [repr(x) for x in xs.tolist()]
     for start in range(0, len(ys), BOUNDARY_BAND_ROWS):
         band = ys[start:start + BOUNDARY_BAND_ROWS]
-        if isinstance(model, MulticlassModel):
-            decisions = [_lattice_decisions(machine, xs, band) for _, machine in model.machines]
-            labels = vote(model, decisions)
-            values = np.zeros(len(labels))
-            for ((neg, pos), _), d in zip(model.machines, decisions):
-                values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
-        else:
-            values = _lattice_decisions(model, xs, band)
-            neg, pos = model.labels
-            labels = np.where(values >= 0.0, pos, neg)
+        decisions = [_lattice_decisions(machine, xs, band) for _, machine in model.machines]
+        labels = vote(model, decisions)
+        values = np.zeros(len(labels))
+        for ((neg, pos), _), d in zip(model.machines, decisions):
+            values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
         points = product([repr(y) for y in band.tolist()], x_reprs)
         yield "".join(
             f"{x},{y},{v!r},{lab}\n"

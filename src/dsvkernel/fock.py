@@ -28,8 +28,9 @@ on.  It also gives S a period of pi in theta and makes a negative squeezing
 magnitude equivalent to theta -> theta + pi/2, matching the normalization
 performed by :class:`SqueezeParams`.
 
-All operations are pure functions on immutable values; results are safe to
-share across threads.
+Operators and states are plain complex numpy arrays.  Every function is
+pure and each call returns a fresh array, so results are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -45,18 +46,9 @@ from .errors import CutoffExceededError, InvalidDimensionError, InvalidInputErro
 #: carry < 1e-12 of their mass above |63>, and 64x64 exponentials are cheap.
 DEFAULT_CUTOFF = 64
 
-#: Single tolerance used wherever a state norm is asserted.
-EPS_NORM = 1e-9
-
 #: Squeezing is rejected when the squeezed vacuum would lose more than this
 #: much probability mass to truncation.
 TAIL_MASS_LIMIT = 1e-9
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -84,59 +76,14 @@ class SqueezeParams:
         object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class TruncatedState:
-    """Complex amplitude vector over |0> ... |cutoff-1>.
-
-    Truncation may only lose probability mass, never create it, so the
-    squared norm must not exceed 1 + EPS_NORM.
-    """
-
-    amplitudes: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or len(amps) != self.cutoff:
-            raise InvalidDimensionError(
-                f"amplitude vector of length {amps.shape} does not match cutoff {self.cutoff}"
-            )
-        sq_norm = float(np.vdot(amps, amps).real)
-        if sq_norm > 1.0 + EPS_NORM:
-            raise InvalidInputError(
-                f"squared norm {sq_norm} exceeds 1 + {EPS_NORM}; states cannot gain mass"
-            )
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-
-@dataclass(frozen=True)
-class BosonicOperator:
-    """Dense complex matrix acting on the truncated basis, with a tag."""
-
-    matrix: np.ndarray
-    cutoff: int
-    label: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.cutoff:
-            raise InvalidDimensionError(
-                f"operator matrix of shape {m.shape} does not match cutoff {self.cutoff}"
-            )
-        object.__setattr__(self, "matrix", _readonly(m))
-
-
-def ladder_ops(cutoff: int) -> tuple[BosonicOperator, BosonicOperator]:
+def ladder_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation operators (a, a_dagger) at the given cutoff."""
     if cutoff < 2:
         raise InvalidDimensionError(f"cutoff must be >= 2, got {cutoff}")
     a = np.zeros((cutoff, cutoff), dtype=complex)
     for n in range(1, cutoff):
         a[n - 1, n] = math.sqrt(n)
-    return (
-        BosonicOperator(a, cutoff, "ladder"),
-        BosonicOperator(a.conj().T, cutoff, "ladder_dagger"),
-    )
+    return a, a.conj().T
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -159,7 +106,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
-def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator:
+def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Displacement operator D(x) = exp(x a_dagger - x* a).
 
     Rejects |x|^2 > cutoff/4: the displaced vacuum would have non-negligible
@@ -176,8 +123,7 @@ def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator:
             f"use a cutoff of at least {needed}"
         )
     a, adag = ladder_ops(cutoff)
-    gen = x * adag.matrix - x.conjugate() * a.matrix
-    return BosonicOperator(matrix_exp(gen), cutoff, "displacement")
+    return matrix_exp(x * adag - x.conjugate() * a)
 
 
 def squeezed_vacuum_tail_mass(r: float, cutoff: int) -> float:
@@ -207,7 +153,7 @@ def _min_squeeze_cutoff(r: float) -> int:
     return n
 
 
-def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator:
+def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Squeezing operator S(r, theta) = exp(r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2).
 
     Rejects magnitudes whose squeezed vacuum would lose more than
@@ -221,21 +167,13 @@ def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> BosonicOperator
         )
     a, adag = ladder_ops(cutoff)
     phase = complex(math.cos(2.0 * eta.theta), math.sin(2.0 * eta.theta))
-    gen = 0.5 * eta.r * (
-        phase.conjugate() * (a.matrix @ a.matrix) - phase * (adag.matrix @ adag.matrix)
-    )
+    gen = 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
     # a^2 and a'^2 change the photon number by two, so even and odd states
     # never mix; exponentiating each parity block keeps that coupling exactly 0
     s = np.zeros_like(gen)
     for p in (0, 1):
         s[p::2, p::2] = matrix_exp(gen[p::2, p::2])
-    return BosonicOperator(s, cutoff, "squeeze")
-
-
-def vacuum(cutoff: int = DEFAULT_CUTOFF) -> TruncatedState:
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    return TruncatedState(amps, cutoff)
+    return s
 
 
 def circuit_kernel(
@@ -253,10 +191,11 @@ def circuit_kernel(
     s = squeeze(eta, cutoff)
     dp = displacement(xp, cutoff)
     dq = displacement(xq, cutoff)
-    psi = vacuum(cutoff).amplitudes
-    psi = s.matrix @ psi
-    psi = dq.matrix @ psi
-    psi = dp.matrix.conj().T @ psi
-    psi = s.matrix.conj().T @ psi
+    psi = np.zeros(cutoff, dtype=complex)
+    psi[0] = 1.0
+    psi = s @ psi
+    psi = dq @ psi
+    psi = dp.conj().T @ psi
+    psi = s.conj().T @ psi
     prob = float(abs(psi[0]) ** 2)
     return min(1.0, max(0.0, prob))

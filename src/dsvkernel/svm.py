@@ -19,9 +19,11 @@ and I_low, and it builds one curvature row per update, all in buffers
 allocated once per fit; an update rewrites v and two entries of each
 penalty vector.
 
-Multiclass problems train one binary machine per class pair and predict by
-majority vote.  Trained models are immutable; prediction is pure and may run
-in parallel, while a single training run is inherently sequential.
+Every trained, saved or loaded model is a one-vs-one :class:`MulticlassModel`:
+one binary machine per class pair, predicting by majority vote, so a
+2-class model holds one machine.  Trained models are immutable; prediction
+is pure and may run in parallel, while a single training run is inherently
+sequential.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Binary classifier state: support vectors with their dual coefficients.
+    """One binary machine: support vectors with their dual coefficients.
 
     ``labels`` maps the internal signs to class labels as
     (negative-class, positive-class); an exact zero decision value is
-    predicted as the positive class.
+    predicted as the positive class.  Each support vector has one alpha, one
+    +/-1 label and one row of ``support_vectors``; anything else raises
+    :class:`InvalidInputError`.
     """
 
     support_indices: np.ndarray
@@ -95,6 +99,13 @@ class SvmModel:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if (self.alphas.ndim != 1 or self.sv_labels.shape != self.alphas.shape
+                or self.support_vectors.ndim != 2
+                or len(self.support_vectors) != len(self.alphas)):
+            raise InvalidInputError(
+                f"alphas of shape {self.alphas.shape}, labels of shape {self.sv_labels.shape} "
+                f"and support vectors of shape {self.support_vectors.shape} do not agree"
+            )
 
     @property
     def n_support(self) -> int:
@@ -103,10 +114,24 @@ class SvmModel:
 
 @dataclass(frozen=True)
 class MulticlassModel:
-    """One-vs-one ensemble: L(L-1)/2 binary machines over sorted class pairs."""
+    """One-vs-one ensemble: L(L-1)/2 binary machines over sorted class pairs.
+
+    The pairs must be exactly ``combinations(classes, 2)`` in that order, for
+    at least two sorted distinct classes, and each machine's ``labels`` must
+    be its pair; anything else raises :class:`InvalidInputError`.
+    """
 
     machines: tuple[tuple[tuple[int, int], SvmModel], ...]
     classes: tuple[int, ...]
+
+    def __post_init__(self):
+        pairs = [pair for pair, _ in self.machines]
+        if (len(self.classes) < 2 or list(self.classes) != sorted(set(self.classes))
+                or pairs != list(combinations(self.classes, 2))
+                or any(machine.labels != pair for pair, machine in self.machines)):
+            raise InvalidInputError(
+                f"machine pairs {pairs} are not the class pairs of {list(self.classes)}"
+            )
 
 
 def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
@@ -348,17 +373,12 @@ def predict_multiclass_batch(model: MulticlassModel, points: np.ndarray) -> np.n
     return vote(model, [decision_values(machine, points) for _, machine in model.machines])
 
 
-def predict_labels(model: SvmModel | MulticlassModel, points: np.ndarray) -> np.ndarray:
-    """Class labels for a batch of points, for either model kind."""
-    points = np.asarray(points, dtype=float)
-    if isinstance(model, MulticlassModel):
-        return predict_multiclass_batch(model, points)
-    d = decision_values(model, points)
-    neg, pos = model.labels
-    return np.where(d >= 0.0, pos, neg).astype(np.int64)
+def predict_labels(model: MulticlassModel, points: np.ndarray) -> np.ndarray:
+    """Class labels for a batch of points; see :func:`predict_multiclass_batch`."""
+    return predict_multiclass_batch(model, points)
 
 
-def accuracy(model: SvmModel | MulticlassModel, data) -> float:
+def accuracy(model: MulticlassModel, data) -> float:
     """Fraction of rows whose predicted label matches."""
     if len(data.labels) == 0:
         raise InvalidInputError("cannot score an empty dataset")
@@ -366,7 +386,7 @@ def accuracy(model: SvmModel | MulticlassModel, data) -> float:
     return float(np.count_nonzero(predicted == np.asarray(data.labels)) / len(data.labels))
 
 
-def _binary_to_dict(model: SvmModel) -> dict:
+def _machine_to_dict(model: SvmModel) -> dict:
     return {
         "support_indices": [int(i) for i in model.support_indices],
         "alphas": [float(a) for a in model.alphas],
@@ -378,7 +398,7 @@ def _binary_to_dict(model: SvmModel) -> dict:
     }
 
 
-def _binary_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
+def _machine_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
     alpha_y = np.asarray(d["alpha_y"], dtype=float)
     return SvmModel(
         support_indices=np.asarray(d["support_indices"], dtype=np.intp),
@@ -393,40 +413,32 @@ def _binary_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
     )
 
 
-def model_to_dict(model: SvmModel | MulticlassModel) -> dict:
+def model_to_dict(model: MulticlassModel) -> dict:
     """Versioned JSON-compatible form; alphas are stored as alpha*y products."""
-    if isinstance(model, SvmModel):
-        return {
-            "version": MODEL_FORMAT_VERSION,
-            "type": "binary",
-            "kernel": model.kernel.to_dict(),
-            "machine": _binary_to_dict(model),
-        }
     return {
         "version": MODEL_FORMAT_VERSION,
         "type": "one_vs_one",
         "kernel": model.machines[0][1].kernel.to_dict(),
         "classes": list(model.classes),
         "machines": [
-            {"pair": list(pair), **_binary_to_dict(machine)}
+            {"pair": list(pair), **_machine_to_dict(machine)}
             for pair, machine in model.machines
         ],
     }
 
 
-def model_from_dict(d: dict) -> SvmModel | MulticlassModel:
+def model_from_dict(d: dict) -> MulticlassModel:
     """Inverse of :func:`model_to_dict`; a document with missing or
-    ill-typed fields raises :class:`InvalidInputError`."""
+    ill-typed fields, or of any type but ``one_vs_one``, raises
+    :class:`InvalidInputError`."""
     try:
         if d.get("version") != MODEL_FORMAT_VERSION:
             raise InvalidInputError(f"unsupported model version: {d.get('version')}")
         kernel_config = KernelConfig.from_dict(d["kernel"])
-        if d["type"] == "binary":
-            return _binary_from_dict(d["machine"], kernel_config)
         if d["type"] != "one_vs_one":
             raise InvalidInputError(f"unknown model type: {d['type']}")
         machines = tuple(
-            ((int(m["pair"][0]), int(m["pair"][1])), _binary_from_dict(m, kernel_config))
+            ((int(m["pair"][0]), int(m["pair"][1])), _machine_from_dict(m, kernel_config))
             for m in d["machines"]
         )
         return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
@@ -434,7 +446,7 @@ def model_from_dict(d: dict) -> SvmModel | MulticlassModel:
         raise InvalidInputError(f"malformed model: {type(err).__name__}: {err}") from None
 
 
-def save_model(path, model: SvmModel | MulticlassModel, extra: dict | None = None) -> None:
+def save_model(path, model: MulticlassModel, extra: dict | None = None) -> None:
     """Atomic JSON write; ``extra`` merges additional top-level fields."""
     payload = model_to_dict(model)
     if extra:
@@ -442,7 +454,7 @@ def save_model(path, model: SvmModel | MulticlassModel, extra: dict | None = Non
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path) -> tuple[SvmModel | MulticlassModel, dict]:
+def load_model(path) -> tuple[MulticlassModel, dict]:
     """Read a model file; returns the model and the raw JSON document."""
     with open(path, "r", encoding="utf-8") as f:
         try:

@@ -1,15 +1,14 @@
 """Per-point reference for ``experiment.boundary_grid``'s CSV text.
 
 The lattice is built from a list of (x1, x2) tuples, labels come from
-``predict_labels`` and each one-vs-one machine's decision values are then
-computed a second time for the summed signed value; every field is formatted
-per point.  The array-at-a-time export must match this text byte for byte.
+``predict_labels`` and each machine's decision values are then computed a
+second time for the summed signed value; every field is formatted per point.  The array-at-a-time export must match this text byte for byte.
 """
 
 import numpy as np
 
 from dsvkernel.experiment import BOUNDARY_PADDING
-from dsvkernel.svm import MulticlassModel, decision_values, predict_labels
+from dsvkernel.svm import decision_values, predict_labels
 
 
 def reference_boundary_csv(model, bounds, resolution: int) -> str:
@@ -20,16 +19,11 @@ def reference_boundary_csv(model, bounds, resolution: int) -> str:
     ys = np.linspace(x2_lo - pad2, x2_hi + pad2, resolution)
     grid = np.array([(x, y) for y in ys for x in xs])
 
-    if isinstance(model, MulticlassModel):
-        labels = predict_labels(model, grid)
-        values = np.zeros(len(grid))
-        for (neg, pos), machine in model.machines:
-            d = decision_values(machine, grid)
-            values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
-    else:
-        values = decision_values(model, grid)
-        neg, pos = model.labels
-        labels = np.where(values >= 0.0, pos, neg)
+    labels = predict_labels(model, grid)
+    values = np.zeros(len(grid))
+    for (neg, pos), machine in model.machines:
+        d = decision_values(machine, grid)
+        values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
 
     lines = ["x1,x2,decision_value,label"]
     for (x, y), v, lab in zip(grid, values, labels):

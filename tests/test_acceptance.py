@@ -84,29 +84,29 @@ def test_criterion_3_operator_identities():
     for r, theta, x in ((0.3, 0.0, 0.4), (0.8, math.pi / 2, 1.0), (0.5, 0.7, 0.6)):
         n, k = 128, 12
         eta = SqueezeParams(r, theta)
-        s = squeeze(eta, n).matrix
-        lhs = s.conj().T @ displacement(x, n).matrix @ s
+        s = squeeze(eta, n)
+        lhs = s.conj().T @ displacement(x, n) @ s
         xbar = x * math.cosh(r) + x * np.exp(2j * theta) * math.sinh(r)
-        rhs = displacement(xbar, n).matrix
+        rhs = displacement(xbar, n)
         assert np.max(np.abs(lhs[:k, :k] - rhs[:k, :k])) <= 1e-7
 
     # displacement composition on the leading half block
     for x, y in ((0.7, 0.3), (1.0, 1.0), (-0.9, 0.4)):
         n = 64
-        left = displacement(x, n).matrix @ displacement(y, n).matrix
-        right = displacement(x + y, n).matrix
+        left = displacement(x, n) @ displacement(y, n)
+        right = displacement(x + y, n)
         assert np.max(np.abs(left[: n // 2, : n // 2] - right[: n // 2, : n // 2])) <= 1e-7
 
     # adjoint is the negated displacement
     for x in (0.5, 1.0 + 0.3j):
         n = 64
-        delta = displacement(x, n).matrix.conj().T - displacement(-x, n).matrix
+        delta = displacement(x, n).conj().T - displacement(-x, n)
         assert np.max(np.abs(delta)) <= 1e-10
 
     # truncated commutator
     for n in (2, 8, 64):
         a, adag = ladder_ops(n)
-        comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+        comm = a @ adag - adag @ a
         expected = np.eye(n, dtype=complex)
         expected[-1, -1] = -(n - 1)
         assert np.max(np.abs(comm - expected)) <= 1e-12

@@ -15,6 +15,8 @@ from dsvkernel.experiment import apply_transform_chain
 from dsvkernel.kernel import gram
 from dsvkernel.svm import load_model, predict_labels
 
+from report_reference import reports_equal_ignoring_timings
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -416,6 +418,52 @@ class TestEdgeContracts:
         assert accuracy == 98 / 102
 
 
+def _no_machines(doc):
+    doc["machines"] = []
+
+
+def _unknown_class(doc):
+    doc["machines"][0]["pair"] = [0, 5]
+
+
+def _short_alpha_y(doc):
+    doc["machines"][0]["alpha_y"].pop()
+
+
+def _binary(doc):
+    doc["type"] = "binary"
+    doc["machine"] = doc.pop("machines")[0]
+
+
+class TestMalformedOneVsOneModel:
+    """A model file whose machines do not fit its classes, or that is not
+    one-vs-one, exits 2 from both commands that read models."""
+
+    @pytest.mark.parametrize("corrupt, hint", [
+        (_no_machines, "machine pairs [] are not the class pairs of [0, 1]"),
+        (_unknown_class, "machine pairs [(0, 5)] are not the class pairs of [0, 1]"),
+        (_short_alpha_y, "do not agree"),
+        (_binary, "unknown model type: binary"),
+    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary"])
+    def test_exits_2(self, tmp_path, capsys, corrupt, hint):
+        csv, model_path = tmp_path / "moons.csv", tmp_path / "model.json"
+        run_cli(capsys, "data", "generate", "--dataset", "moons", "--n", "60",
+                "--seed", "1", "--out", str(csv))
+        code, _, err = run_cli(capsys, "train", "--data", str(csv), "--gamma", "1.5",
+                               "--out", str(model_path))
+        assert code == 0, err
+        doc = json.loads(model_path.read_text())
+        corrupt(doc)
+        model_path.write_text(json.dumps(doc))
+        for command, extra in (("evaluate", []),
+                               ("boundary", ["--out", str(tmp_path / "grid.csv")])):
+            code, _, err = run_cli(capsys, command, "--model", str(model_path),
+                                   "--data", str(csv), *extra)
+            assert code == 2, (command, err)
+            assert err.startswith("dsvkernel: error: ") and hint in err, err
+        assert not (tmp_path / "grid.csv").exists()
+
+
 class TestSweepCli:
     def test_generator_sweep(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -489,7 +537,7 @@ class TestSweepCli:
         assert report["spec"]["dataset"] == exp.GeneratorSpec(kind, n=60).to_dict()
         spec = exp.spec_from_dict(report["spec"])
         replayed = exp.sweep(spec, spec.gammas, out_dir=tmp_path / "replay")
-        assert exp.reports_equal_ignoring_timings(replayed.to_json_dict(), report)
+        assert reports_equal_ignoring_timings(replayed.to_json_dict(), report)
         assert ((tmp_path / "replay" / "model_gamma_0.8.json").read_bytes()
                 == (out_dir / "model_gamma_0.8.json").read_bytes())
 

@@ -25,6 +25,7 @@ from dsvkernel.svm import (
 )
 
 from boundary_reference import reference_boundary_csv
+from report_reference import reports_equal_ignoring_timings
 
 
 def _moons_spec(**overrides):
@@ -112,7 +113,7 @@ class TestRunExperiment:
         doc_a = json.loads((tmp_path / "a" / "report.json").read_text())
         doc_b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert doc_a != doc_b or doc_a == doc_b  # both parse
-        assert exp.reports_equal_ignoring_timings(doc_a, doc_b)
+        assert reports_equal_ignoring_timings(doc_a, doc_b)
         del doc_a["timings"], doc_b["timings"]
         assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
@@ -120,7 +121,7 @@ class TestRunExperiment:
         exp.run_experiment(_moons_spec(), out_dir=tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         replay = exp.run_experiment(exp.spec_from_dict(doc["spec"]))
-        assert exp.reports_equal_ignoring_timings(doc, replay.to_json_dict())
+        assert reports_equal_ignoring_timings(doc, replay.to_json_dict())
 
 
 class TestSweep:
@@ -147,14 +148,19 @@ def _box(features):
     return tuple((float(features[:, k].min()), float(features[:, k].max())) for k in (0, 1))
 
 
+def one_machine(machine: SvmModel) -> MulticlassModel:
+    """The 2-class model that holds just ``machine``."""
+    return MulticlassModel(machines=((machine.labels, machine),), classes=machine.labels)
+
+
 def binary_moons_machine(n=60, seed=0):
-    """A binary machine at gamma 1.5 on generated moons, with their bounding
-    box."""
+    """A 2-class (one-machine) model at gamma 1.5 on generated moons, with
+    their bounding box."""
     moons = make_moons(n, 0.15, seed=seed)
     y = np.where(moons.labels == 1, 1.0, -1.0)
     config = SvmConfig(kernel=KernelConfig.direct(1.5))
-    model = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
-    return model, _box(moons.features)
+    machine = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
+    return one_machine(machine), _box(moons.features)
 
 
 def vote_tie_model():
@@ -206,7 +212,7 @@ for name, (model, bounds) in (("binary", binary_moons_machine()), ("vote-tie", v
 
 @pytest.fixture(scope="module")
 def boundary_models(iris_csv):
-    """A binary moons machine and a 3-class iris model on two features, each
+    """A 2-class moons model and a 3-class iris model on two features, each
     with the bounding box of its training rows."""
     iris = load_csv(iris_csv, "species", ["sepal_width", "petal_width"])
     config = SvmConfig(kernel=KernelConfig.direct(1.5))
@@ -220,11 +226,8 @@ class TestBoundaryGrid:
     def _binary_model(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        from dsvkernel.kernel import gram, sq_distances
-        from dsvkernel.svm import train_binary
-
         config = SvmConfig(c=10.0, tol=1e-8, kernel=KernelConfig.direct(1.0))
-        return train_binary(gram(X, 1.0), y, config, X, class_labels=(0, 1))
+        return one_machine(train_binary(gram(X, 1.0), y, config, X, class_labels=(0, 1)))
 
     def test_lattice_sq_distances_match_the_generic_helper(self):
         rng = np.random.default_rng(5)
@@ -253,9 +256,12 @@ class TestBoundaryGrid:
         for x1, x2, value, label in rows:
             if float(x1) == 0.0:
                 assert abs(float(value)) <= 1e-9
-        # sign consistency between value and label columns
+        # the value is the vote value toward the winning class, so it is never
+        # negative; the label says on which side of the bisector a point lies
         for x1, x2, value, label in rows:
-            assert (float(value) >= 0.0) == (label == "1")
+            assert float(value) >= 0.0
+            if float(x1) != 0.0:
+                assert label == ("1" if float(x1) > 0.0 else "0")
 
     def test_rows_reproduce_model_predictions(self, tmp_path):
         data = make_moons(60, 0.15, seed=0)
@@ -305,7 +311,7 @@ class TestBoundaryGrid:
 
     def test_peak_memory_is_a_band_not_the_lattice(self, tmp_path):
         model, bounds = binary_moons_machine(n=300, seed=1)
-        assert model.n_support >= 30
+        assert model.machines[0][1].n_support >= 30
         tracemalloc.start()
         try:
             exp.boundary_grid(model, bounds, 300, tmp_path / "g.csv")
@@ -319,11 +325,8 @@ class TestBoundaryGrid:
     def test_dimension_validated(self, tmp_path):
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, -1.0])
-        from dsvkernel.kernel import gram, sq_distances
-        from dsvkernel.svm import train_binary
-
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(1.0))
-        model = train_binary(gram(X, 1.0), y, config, X)
+        model = one_machine(train_binary(gram(X, 1.0), y, config, X))
         with pytest.raises(InvalidDimensionError):
             exp.boundary_grid(model, ((-1, 1), (-1, 1)), 5, tmp_path / "g.csv")
 

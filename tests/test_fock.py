@@ -11,20 +11,16 @@ from dsvkernel.errors import (
     InvalidInputError,
 )
 from dsvkernel.fock import (
-    EPS_NORM,
-    BosonicOperator,
     SqueezeParams,
-    TruncatedState,
     circuit_kernel,
     displacement,
     ladder_ops,
     matrix_exp,
     squeeze,
     squeezed_vacuum_tail_mass,
-    vacuum,
 )
 
-from fock_reference import apply, dagger, dsv_state, norm, overlap
+from fock_reference import EPS_NORM, dsv_state, norm, overlap, vacuum
 
 
 class TestSqueezeParams:
@@ -44,8 +40,8 @@ class TestSqueezeParams:
 
     def test_normalization_preserves_operator(self):
         # -r and theta+pi/2 build the same matrix, as do theta and theta+pi
-        a = squeeze(SqueezeParams(-0.3, 0.2), 32).matrix
-        b = squeeze(SqueezeParams(0.3, 0.2 + math.pi / 2), 32).matrix
+        a = squeeze(SqueezeParams(-0.3, 0.2), 32)
+        b = squeeze(SqueezeParams(0.3, 0.2 + math.pi / 2), 32)
         assert_allclose(a, b, atol=1e-14)
 
     def test_rejects_non_finite(self):
@@ -53,39 +49,24 @@ class TestSqueezeParams:
             SqueezeParams(float("nan"), 0.0)
 
 
-class TestTruncatedState:
-    def test_length_must_match_cutoff(self):
-        with pytest.raises(InvalidDimensionError):
-            TruncatedState(np.zeros(3, dtype=complex), 4)
-
-    def test_mass_gain_rejected(self):
-        with pytest.raises(InvalidInputError):
-            TruncatedState(np.array([1.0, 0.5], dtype=complex), 2)
-
-    def test_amplitudes_read_only(self):
-        state = vacuum(8)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
-
-
 class TestLadderOps:
     def test_cutoff_2_single_entry(self):
         a, _ = ladder_ops(2)
-        assert a.matrix[0, 1] == 1.0
-        assert np.count_nonzero(a.matrix) == 1
+        assert a[0, 1] == 1.0
+        assert np.count_nonzero(a) == 1
 
     def test_cutoff_4_entry_value(self):
         a, _ = ladder_ops(4)
-        assert_allclose(a.matrix[2, 3], math.sqrt(3))
+        assert_allclose(a[2, 3], math.sqrt(3))
 
     def test_adjoint_pair(self):
         a, adag = ladder_ops(6)
-        assert_allclose(adag.matrix, a.matrix.conj().T)
+        assert_allclose(adag, a.conj().T)
 
     @pytest.mark.parametrize("cutoff", [2, 5, 8, 64])
     def test_truncated_commutator(self, cutoff):
         a, adag = ladder_ops(cutoff)
-        comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+        comm = a @ adag - adag @ a
         expected = np.eye(cutoff, dtype=complex)
         expected[-1, -1] = -(cutoff - 1)
         assert_allclose(comm, expected, atol=1e-12)
@@ -93,6 +74,18 @@ class TestLadderOps:
     def test_rejects_small_cutoff(self):
         with pytest.raises(InvalidDimensionError):
             ladder_ops(1)
+
+
+class TestOperatorArrays:
+    def test_each_call_returns_a_fresh_square_complex_array(self):
+        n = 32
+        ops = [*ladder_ops(n), displacement(0.5, n), squeeze(SqueezeParams(0.3, 0.2), n)]
+        for op in ops:
+            assert type(op) is np.ndarray and op.dtype == complex and op.shape == (n, n)
+        first = displacement(0.5, n)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(displacement(0.5, n), expected)
 
 
 class TestMatrixExp:
@@ -107,7 +100,7 @@ class TestMatrixExp:
 
     def test_antihermitian_generator_gives_unitary(self):
         a, adag = ladder_ops(32)
-        gen = 0.5 * (adag.matrix - a.matrix)
+        gen = 0.5 * (adag - a)
         u = matrix_exp(gen)
         block = (u.conj().T @ u - np.eye(32))[:16, :16]
         assert np.max(np.abs(block)) <= 1e-8
@@ -142,41 +135,41 @@ class TestMatrixExp:
 
 class TestDisplacement:
     def test_zero_is_identity(self):
-        assert_allclose(displacement(0.0, 16).matrix, np.eye(16), atol=1e-15)
+        assert_allclose(displacement(0.0, 16), np.eye(16), atol=1e-15)
 
     def test_vacuum_amplitude(self):
         d = displacement(1.0, 32)
-        assert_allclose(d.matrix[0, 0], math.exp(-0.5), rtol=1e-12)
+        assert_allclose(d[0, 0], math.exp(-0.5), rtol=1e-12)
 
     def test_composition_exemplar(self):
-        left = displacement(0.7, 32).matrix @ displacement(0.3, 32).matrix
-        right = displacement(1.0, 32).matrix
+        left = displacement(0.7, 32) @ displacement(0.3, 32)
+        right = displacement(1.0, 32)
         assert np.max(np.abs(left[:16, :16] - right[:16, :16])) <= 1e-8
 
     @pytest.mark.parametrize("x,y", [(0.7, 0.3), (1.0, 1.0), (1.5, 0.5), (-0.9, 0.9)])
     def test_composition_half_block(self, x, y):
         n = 64
-        left = displacement(x, n).matrix @ displacement(y, n).matrix
-        right = displacement(x + y, n).matrix
+        left = displacement(x, n) @ displacement(y, n)
+        right = displacement(x + y, n)
         assert np.max(np.abs(left[:32, :32] - right[:32, :32])) <= 1e-7
 
     def test_complex_composition_phase(self):
         # D(a) D(b) = D(a+b) exp((a b* - a* b)/2) for complex arguments
         n, a, b = 64, 0.4 + 0.3j, 0.2 - 0.5j
         phase = np.exp(0.5 * (a * np.conj(b) - np.conj(a) * b))
-        left = displacement(a, n).matrix @ displacement(b, n).matrix
-        right = phase * displacement(a + b, n).matrix
+        left = displacement(a, n) @ displacement(b, n)
+        right = phase * displacement(a + b, n)
         assert np.max(np.abs(left[:32, :32] - right[:32, :32])) <= 1e-7
 
     @pytest.mark.parametrize("x", [0.5, 1.0 + 0.3j])
     def test_dagger_equals_negated_argument(self, x):
         n = 64
         assert np.max(np.abs(
-            displacement(x, n).matrix.conj().T - displacement(-x, n).matrix
+            displacement(x, n).conj().T - displacement(-x, n)
         )) <= 1e-10
 
     def test_unitary_on_leading_block(self):
-        u = displacement(1.0, 64).matrix
+        u = displacement(1.0, 64)
         err = np.max(np.abs((u.conj().T @ u - np.eye(64))[:32, :32]))
         assert err <= 1e-8
 
@@ -187,26 +180,26 @@ class TestDisplacement:
 
 class TestSqueeze:
     def test_zero_is_identity(self):
-        assert_allclose(squeeze(SqueezeParams(0.0, 0.0), 16).matrix, np.eye(16), atol=1e-15)
+        assert_allclose(squeeze(SqueezeParams(0.0, 0.0), 16), np.eye(16), atol=1e-15)
 
     def test_vacuum_amplitude(self):
         s = squeeze(SqueezeParams(0.5, 0.0), 64)
-        assert_allclose(s.matrix[0, 0], 1.0 / math.sqrt(math.cosh(0.5)), rtol=1e-10)
+        assert_allclose(s[0, 0], 1.0 / math.sqrt(math.cosh(0.5)), rtol=1e-10)
 
     @pytest.mark.parametrize("r", [0.4, 0.8])
     @pytest.mark.parametrize("theta", [0.0, 1.3])
     def test_even_odd_coupling_is_exactly_zero(self, r, theta):
-        s = squeeze(SqueezeParams(r, theta), 64).matrix
+        s = squeeze(SqueezeParams(r, theta), 64)
         assert np.count_nonzero(s[0::2, 1::2]) == 0
         assert np.count_nonzero(s[1::2, 0::2]) == 0
 
     def test_conjugation_exemplar(self):
         # S'(eta) D(x) S(eta) = D(x cosh r + x* e^{2i theta} sinh r)
         r, x, n = 0.3, 0.4, 64
-        s = squeeze(SqueezeParams(r, 0.0), n).matrix
-        lhs = s.conj().T @ displacement(x, n).matrix @ s
+        s = squeeze(SqueezeParams(r, 0.0), n)
+        lhs = s.conj().T @ displacement(x, n) @ s
         xbar = x * math.cosh(r) + x * math.sinh(r)
-        rhs = displacement(xbar, n).matrix
+        rhs = displacement(xbar, n)
         assert np.max(np.abs(lhs[:16, :16] - rhs[:16, :16])) <= 1e-7
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -216,10 +209,10 @@ class TestSqueeze:
         # converged leading block at a cutoff adequate for the parameters
         n, k = 128, 12
         eta = SqueezeParams(r, theta)
-        s = squeeze(eta, n).matrix
-        lhs = s.conj().T @ displacement(x, n).matrix @ s
+        s = squeeze(eta, n)
+        lhs = s.conj().T @ displacement(x, n) @ s
         xbar = x * math.cosh(r) + x * np.exp(2j * theta) * math.sinh(r)
-        rhs = displacement(xbar, n).matrix
+        rhs = displacement(xbar, n)
         assert np.max(np.abs(lhs[:k, :k] - rhs[:k, :k])) <= 1e-7
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -229,14 +222,14 @@ class TestSqueeze:
         # the form the kernel construction relies on, at a larger cutoff
         n = 128
         eta = SqueezeParams(r, theta)
-        s = squeeze(eta, n).matrix
-        lhs = s.conj().T @ (displacement(x, n).matrix @ (s @ vacuum(n).amplitudes))
+        s = squeeze(eta, n)
+        lhs = s.conj().T @ (displacement(x, n) @ (s @ vacuum(n)))
         xbar = x * math.cosh(r) + x * np.exp(2j * theta) * math.sinh(r)
-        rhs = displacement(xbar, n).matrix @ vacuum(n).amplitudes
+        rhs = displacement(xbar, n) @ vacuum(n)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_unitary_on_leading_block(self):
-        u = squeeze(SqueezeParams(0.8, 0.3), 64).matrix
+        u = squeeze(SqueezeParams(0.8, 0.3), 64)
         err = np.max(np.abs((u.conj().T @ u - np.eye(64))[:32, :32]))
         assert err <= 1e-8
 
@@ -254,19 +247,19 @@ class TestDsvState:
         state = dsv_state(0.0, SqueezeParams(0.0, 0.0), 16)
         expected = np.zeros(16)
         expected[0] = 1.0
-        assert_allclose(state.amplitudes, expected, atol=1e-15)
+        assert_allclose(state, expected, atol=1e-15)
 
     def test_coherent_state_amplitudes(self):
         state = dsv_state(1.0, SqueezeParams(0.0, 0.0), 64)
         n = np.arange(8)
         expected = math.exp(-0.5) / np.sqrt([math.factorial(int(k)) for k in n])
-        assert_allclose(state.amplitudes[:8].real, expected, atol=1e-12)
-        assert_allclose(state.amplitudes[:8].imag, 0.0, atol=1e-12)
+        assert_allclose(state[:8].real, expected, atol=1e-12)
+        assert_allclose(state[:8].imag, 0.0, atol=1e-12)
 
     def test_squeezed_vacuum_even_support_and_norm(self):
         eta = SqueezeParams(0.4, 0.0)
-        pre = apply(squeeze(eta, 64), vacuum(64))
-        assert np.max(np.abs(pre.amplitudes[1::2])) == 0.0
+        pre = squeeze(eta, 64) @ vacuum(64)
+        assert np.max(np.abs(pre[1::2])) == 0.0
         state = dsv_state(0.5, eta, 64)
         assert abs(norm(state) - 1.0) <= EPS_NORM
 
@@ -344,20 +337,3 @@ class TestCircuitKernel:
         eta = SqueezeParams(0.0, 0.0)
         value = circuit_kernel(0.123, 0.123, eta, 32)
         assert 0.0 <= value <= 1.0
-
-
-class TestBosonicOperator:
-    def test_dimension_checked(self):
-        with pytest.raises(InvalidDimensionError):
-            BosonicOperator(np.eye(3), 4, "bad")
-
-    def test_apply_checks_cutoff(self):
-        op = BosonicOperator(np.eye(4), 4, "id")
-        with pytest.raises(InvalidDimensionError):
-            apply(op, vacuum(8))
-
-    def test_dagger_label_and_value(self):
-        a, _ = ladder_ops(4)
-        adag = dagger(a)
-        assert adag.label.endswith("_dagger")
-        assert_allclose(adag.matrix, a.matrix.conj().T)

@@ -352,9 +352,13 @@ class TestSerialization:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         model = _train(X, y, gamma=0.6, c=1.0, tol=1e-6)
         path = tmp_path / "model.json"
-        save_model(path, model)
-        loaded, payload = load_model(path)
+        save_model(path, MulticlassModel(machines=(((-1, 1), model),), classes=(-1, 1)))
+        loaded_model, payload = load_model(path)
         assert payload["version"] == 1
+        assert payload["type"] == "one_vs_one"
+        assert loaded_model.classes == (-1, 1)
+        [((neg, pos), loaded)] = loaded_model.machines
+        assert (neg, pos) == loaded.labels == model.labels
         assert np.array_equal(loaded.alphas, model.alphas)
         assert np.array_equal(loaded.support_vectors, model.support_vectors)
         assert loaded.bias == model.bias
@@ -384,3 +388,66 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(InvalidInputError):
             model_from_dict({"version": 99, "type": "binary"})
+
+
+def _machine(n_alphas=1, n_labels=1, support_vectors=((0.0, 0.0),), labels=(0, 1)):
+    return SvmModel(
+        support_indices=np.arange(n_alphas), alphas=np.ones(n_alphas),
+        sv_labels=np.ones(n_labels), support_vectors=np.array(support_vectors),
+        bias=0.0, labels=labels, kernel=KernelConfig.direct(1.0),
+        converged=True, objective_history=(),
+    )
+
+
+class TestModelInvariants:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_alphas=2), dict(n_labels=2), dict(support_vectors=((0.0, 0.0), (1.0, 1.0))),
+        dict(support_vectors=(0.0, 0.0)),
+    ], ids=["alphas", "labels", "support-vector-rows", "support-vectors-1d"])
+    def test_machine_needs_one_alpha_label_and_row_per_support_vector(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            _machine(**kwargs)
+
+    @pytest.mark.parametrize("machines, classes", [
+        ((), (0, 1)),
+        ((), (0,)),
+        ((((0, 1), _machine()),), (0, 5)),
+        ((((0, 1), _machine()),), (1, 0)),
+        ((((0, 1), _machine(labels=(1, 0))),), (0, 1)),
+        ((((0, 1), _machine()), ((1, 2), _machine(labels=(1, 2)))), (0, 1, 2)),
+        ((((0, 2), _machine(labels=(0, 2))), ((0, 1), _machine()),
+          ((1, 2), _machine(labels=(1, 2)))), (0, 1, 2)),
+    ], ids=["no-machines", "one-class", "unknown-class", "unsorted-classes",
+            "labels-not-the-pair", "missing-pair", "pairs-out-of-order"])
+    def test_pairs_are_the_class_combinations(self, machines, classes):
+        with pytest.raises(InvalidInputError):
+            MulticlassModel(machines=machines, classes=classes)
+
+
+class TestEdgeGammaProperties:
+    """At gamma 1e-300 every kernel value is 1 and at 1e300 the Gram is the
+    identity; either way the trained model's accuracy is a plain per-point
+    count of its one machine's decision values."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([1e-300, 1e300]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accuracy_is_a_per_point_count(self, seed, m, n_duplicates, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3, 3, size=(m, 2))
+        n_duplicates = min(n_duplicates, m - 1)
+        # duplicated rows keep independently drawn labels, so some contradict
+        X[m - n_duplicates:] = X[rng.integers(0, m - n_duplicates, size=n_duplicates)]
+        labels = rng.integers(0, 2, size=m)
+        labels[:2] = (0, 1)
+        data = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
+                              label_names=("a", "b"), provenance={})
+        model = train_multiclass(data, SvmConfig(kernel=KernelConfig.direct(gamma)))
+        [((neg, pos), machine)] = model.machines
+        predicted = [pos if decision_value(machine, x) >= 0.0 else neg for x in X]
+        correct = sum(int(p == label) for p, label in zip(predicted, labels))
+        assert accuracy(model, data) == correct / m
