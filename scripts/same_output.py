@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Check that two checkouts give the same output on a fixed list of CLI commands.
+
+    python3 scripts/same_output.py --parent PARENT --change CHANGE
+
+Each checkout runs every command of :func:`commands` in turn, in a fresh
+directory of its own that starts with a copy of its ``data/iris.csv`` and
+``data/diabetes.csv`` and an ``iris-nan.csv`` with one ``nan`` feature cell,
+as ``python -m dsvkernel.cli`` with
+``PYTHONPATH=<checkout>/src`` and ``OPENBLAS_NUM_THREADS=1`` (BLAS results,
+and so some output bytes, depend on the thread count).  The script then
+compares each command's exit code, stdout and stderr, and every file the
+commands wrote; ``report.json`` files are compared without their
+``timings``, which hold wall-clock times.  It prints each difference and
+exits 1 if there is one, 0 if there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+DATA_FILES = ("iris.csv", "diabetes.csv")
+SEEDS = (1, 2, 3, 4)
+RESOLUTIONS = (2, 15, 41, 77, 150, 299, 300)
+TRAIN_FLAGS = {
+    "iris": ["--data", "iris.csv", "--label-column", "species",
+             "--features", "sepal_width,petal_width", "--standardize"],
+    "moons": ["--data", "moons.csv"],
+    "diabetes": ["--data", "diabetes.csv", "--pca", "2", "--standardize"],
+}
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) in the order they run; later commands read the
+    files earlier ones write."""
+    cmds = [
+        ("simulate-overlap", ["simulate", "overlap", "--xp", "0.3", "--xq", "-0.2",
+                              "--r", "0.5", "--theta", "0.1"]),
+        ("simulate-overlap-outside-box", ["simulate", "overlap", "--xp", "9", "--xq", "-9",
+                                          "--r", "1.5"]),
+        ("data-generate-moons", ["data", "generate", "--dataset", "moons", "--n", "300",
+                                 "--seed", "1", "--out", "moons.csv"]),
+    ]
+    # evaluate and boundary read the label column from the model file
+    for name, flags in TRAIN_FLAGS.items():
+        csv = flags[1]
+        for seed in SEEDS:
+            model = f"{name}-{seed}.json"
+            cmds.append((f"train-{name}-{seed}", ["train", *flags, "--gamma", "1.5",
+                                                  "--seed", str(seed), "--out", model]))
+            cmds.append((f"evaluate-{name}-{seed}", ["evaluate", "--model", model,
+                                                     "--data", csv]))
+            cmds += [(f"boundary-{name}-{seed}-{r}",
+                      ["boundary", "--model", model, "--data", csv,
+                       "--resolution", str(r), "--out", f"{name}-{seed}-{r}.csv"])
+                     for r in RESOLUTIONS]
+    diabetes = TRAIN_FLAGS["diabetes"]
+    cmds += [
+        ("train-diabetes-squeezed", ["train", *diabetes, "--r", "0.3", "--theta", "0.2",
+                                     "--out", "diabetes-squeezed.json"]),
+        ("train-diabetes-one-pass", ["train", *diabetes, "--gamma", "1", "--max-passes", "1",
+                                     "--out", "diabetes-one-pass.json"]),
+        ("train-moons-tol-1", ["train", "--data", "moons.csv", "--gamma", "1", "--tol", "1",
+                               "--out", "moons-tol-1.json"]),
+        ("evaluate-dimension-mismatch", ["evaluate", "--model", "moons-1.json",
+                                         "--data", "diabetes.csv"]),
+        ("boundary-non-finite", ["boundary", "--model", "iris-1.json", "--data",
+                                 "iris-nan.csv", "--out", "iris-nan-grid.csv"]),
+        ("gram-iris-validate", ["kernel", "gram", "--data", "iris.csv", "--label-column",
+                                "species", "--gamma", "1.5", "--validate",
+                                "--out", "gram-iris.csv"]),
+        ("gram-diabetes", ["kernel", "gram", "--data", "diabetes.csv", "--gamma", "0.5",
+                           "--out", "gram-diabetes.csv"]),
+        ("gram-moons-validate", ["kernel", "gram", "--data", "moons.csv", "--gamma", "2.5",
+                                 "--validate", "--out", "gram-moons.csv"]),
+        ("gram-iris-features-pca", ["kernel", "gram", "--data", "iris.csv", "--label-column",
+                                    "species", "--features", "sepal_width,petal_length",
+                                    "--pca", "1", "--gamma", "1", "--out", "gram-iris-pca.csv"]),
+        ("sweep-diabetes", ["sweep", *diabetes, "--seed", "7", "--out", "sweep-diabetes"]),
+        ("sweep-spirals", ["sweep", "--dataset", "spirals", "--n", "200", "--seed", "1",
+                           "--out", "sweep-spirals"]),
+    ]
+    return cmds
+
+
+def _non_finite_copy(work: Path) -> None:
+    """``iris-nan.csv``: ``iris.csv`` with the second cell of its first row,
+    a sepal width, set to ``nan``."""
+    header, first, *rest = (work / "iris.csv").read_text(encoding="utf-8").splitlines()
+    cells = first.split(",")
+    cells[1] = "nan"
+    text = "\n".join([header, ",".join(cells), *rest]) + "\n"
+    (work / "iris-nan.csv").write_text(text, encoding="utf-8")
+
+
+def run_side(checkout: Path, work: Path, cmds) -> dict:
+    """Run ``cmds`` for one checkout in the empty directory ``work``; returns
+    each command's (exit code, stdout, stderr) by name."""
+    for name in DATA_FILES:
+        shutil.copyfile(checkout / "data" / name, work / name)
+    _non_finite_copy(work)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str((checkout / "src").resolve())}
+    results = {}
+    for name, argv in cmds:
+        done = subprocess.run([sys.executable, "-m", "dsvkernel.cli", *argv], cwd=work,
+                              env=env, capture_output=True, text=True, check=False)
+        results[name] = (done.returncode, done.stdout, done.stderr)
+    return results
+
+
+def _file_body(path: Path):
+    if path.name == "report.json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.pop("timings", None)
+        return doc
+    return path.read_bytes()
+
+
+def _first_difference(parent, change) -> str:
+    """The first differing line of two outputs, or the two exit codes."""
+    if isinstance(parent, int):
+        return f"{parent} -> {change}"
+    for k, (p, c) in enumerate(zip(parent.splitlines() + [""], change.splitlines() + [""]), 1):
+        if p != c:
+            return f"line {k}: {p!r} -> {c!r}"
+    return "in line endings only"
+
+
+def differences(results: dict, works: dict) -> list[str]:
+    """One line per differing command stream or file, parent against change."""
+    found = []
+    for name, parent in results["parent"].items():
+        change = results["change"][name]
+        for field, p, c in zip(("exit code", "stdout", "stderr"), parent, change):
+            if p != c:
+                found.append(f"{name}: {field} differs, {_first_difference(p, c)}")
+    files = {side: {p.relative_to(works[side]) for p in works[side].rglob("*") if p.is_file()}
+             for side in SIDES}
+    for rel in sorted(files["parent"] | files["change"]):
+        present = [side for side in SIDES if rel in files[side]]
+        if len(present) == 1:
+            found.append(f"{rel}: only in the {present[0]}")
+        elif _file_body(works["parent"] / rel) != _file_body(works["change"] / rel):
+            found.append(f"{rel}: contents differ")
+    return found
+
+
+def compare(parent: Path, change: Path, cmds=None) -> list[str]:
+    """Run ``cmds`` (default :func:`commands`) in both checkouts and list the
+    differences."""
+    cmds = commands() if cmds is None else cmds
+    with tempfile.TemporaryDirectory(prefix="same_output_") as tmp:
+        works = {side: Path(tmp) / side for side in SIDES}
+        results = {}
+        for side, checkout in zip(SIDES, (parent, change)):
+            works[side].mkdir()
+            results[side] = run_side(checkout, works[side], cmds)
+        return differences(results, works)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
+    parser.add_argument("--change", required=True, type=Path, help="change checkout")
+    args = parser.parse_args(argv)
+    found = compare(args.parent, args.change)
+    for line in found:
+        print(line)
+    print(f"{len(commands())} commands, {len(found)} differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -391,12 +391,14 @@ def sweep(spec: ExperimentSpec, gamma_grid, out_dir=None) -> ExperimentReport:
 def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> Path:
     """Decision values over a lattice spanning ``bounds`` padded 10% per side.
 
-    Only defined for 2-feature models.  Rows are written x2-major (x1 varies
-    fastest) as ``x1,x2,decision_value,label``, each float as its shortest
-    round-trip ``repr``.  The label is the vote of :func:`dsvkernel.svm.vote`
-    and the decision value is the summed signed decision value toward that
-    class over the machines it participates in; for a 2-class model, whose
-    one machine decides every point, that is the machine's |decision value|.
+    Only defined for 2-feature models and bounds whose padded ends are
+    finite; a ``nan`` or ``inf`` raises :class:`InvalidInputError`.  Rows are
+    written x2-major (x1 varies fastest) as ``x1,x2,decision_value,label``,
+    each float as its shortest round-trip ``repr``.  The label is the vote of
+    :func:`dsvkernel.svm.vote` and the decision value is the summed signed
+    decision value toward that class over the machines it participates in;
+    for a 2-class model, whose one machine decides every point, that is the
+    machine's |decision value|.
 
     The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
     x2 values at a time, streamed to the atomic writer, so memory grows with
@@ -410,8 +412,11 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounds
     pad1 = BOUNDARY_PADDING * (x1_hi - x1_lo)
     pad2 = BOUNDARY_PADDING * (x2_hi - x2_lo)
-    xs = np.linspace(x1_lo - pad1, x1_hi + pad1, resolution)
-    ys = np.linspace(x2_lo - pad2, x2_hi + pad2, resolution)
+    ends = (x1_lo - pad1, x1_hi + pad1, x2_lo - pad2, x2_hi + pad2)
+    if not np.isfinite(ends).all():
+        raise InvalidInputError(f"bounds {bounds} do not give a finite lattice")
+    xs = np.linspace(ends[0], ends[1], resolution)
+    ys = np.linspace(ends[2], ends[3], resolution)
     out_path = Path(out_path)
     atomic_write_text(out_path, _boundary_lines(model, xs, ys))
     return out_path

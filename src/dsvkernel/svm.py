@@ -21,9 +21,11 @@ penalty vector.
 
 Every trained, saved or loaded model is a one-vs-one :class:`MulticlassModel`:
 one binary machine per class pair, predicting by majority vote, so a
-2-class model holds one machine.  Trained models are immutable; prediction
-is pure and may run in parallel, while a single training run is inherently
-sequential.
+2-class model holds one machine.  Each fact is stored once: a machine keeps
+one coefficient alpha * y per support vector (LIBSVM's ``sv_coef``), and its
+class pair lives only in ``MulticlassModel.machines``.  Trained models are
+immutable; prediction is pure and may run in parallel, while a single
+training run is inherently sequential.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from .kernel import GramMatrix, KernelConfig, gram, gram_cross
+from .kernel import KernelConfig, gram, gram_cross
 
 #: Curvature used in place of a non-positive one (duplicate rows).
 TAU = 1e-12
@@ -56,6 +58,8 @@ class SvmConfig:
 
     Training stops once the maximal violation gap is at most 2 ``tol``, or
     after ``max_passes`` times the number of training rows pair updates.
+    At alpha = 0 the gap is exactly 2, so ``tol`` must lie in (0, 1): a
+    larger one would stop before the first update, with no support vector.
     C = 1e6 or larger effectively recovers a hard margin.
     """
 
@@ -67,8 +71,8 @@ class SvmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise InvalidInputError(f"c must be positive, got {self.c}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidInputError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < 1.0:
+            raise InvalidInputError(f"tol must be in (0, 1), got {self.tol}")
         if self.max_passes < 1:
             raise InvalidInputError(f"max_passes must be >= 1, got {self.max_passes}")
 
@@ -77,39 +81,36 @@ class SvmConfig:
 class SvmModel:
     """One binary machine: support vectors with their dual coefficients.
 
-    ``labels`` maps the internal signs to class labels as
-    (negative-class, positive-class); an exact zero decision value is
-    predicted as the positive class.  Each support vector has one alpha, one
-    +/-1 label and one row of ``support_vectors``; anything else raises
+    ``dual_coef`` holds alpha * y for each support vector, y = +1 for the
+    second class of the machine's pair; an exact zero decision value is
+    predicted as that class.  Each support vector has one coefficient and one
+    row of ``support_vectors``; anything else raises
     :class:`InvalidInputError`.
     """
 
     support_indices: np.ndarray
-    alphas: np.ndarray
-    sv_labels: np.ndarray
+    dual_coef: np.ndarray
     support_vectors: np.ndarray
     bias: float
-    labels: tuple[int, int]
     kernel: KernelConfig
     converged: bool
     objective_history: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("support_indices", "alphas", "sv_labels", "support_vectors"):
+        for name in ("support_indices", "dual_coef", "support_vectors"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if (self.alphas.ndim != 1 or self.sv_labels.shape != self.alphas.shape
-                or self.support_vectors.ndim != 2
-                or len(self.support_vectors) != len(self.alphas)):
+        if (self.dual_coef.ndim != 1 or self.support_vectors.ndim != 2
+                or len(self.support_vectors) != len(self.dual_coef)):
             raise InvalidInputError(
-                f"alphas of shape {self.alphas.shape}, labels of shape {self.sv_labels.shape} "
-                f"and support vectors of shape {self.support_vectors.shape} do not agree"
+                f"dual coefficients of shape {self.dual_coef.shape} and support vectors "
+                f"of shape {self.support_vectors.shape} do not agree"
             )
 
     @property
     def n_support(self) -> int:
-        return len(self.alphas)
+        return len(self.dual_coef)
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ class MulticlassModel:
     """One-vs-one ensemble: L(L-1)/2 binary machines over sorted class pairs.
 
     The pairs must be exactly ``combinations(classes, 2)`` in that order, for
-    at least two sorted distinct classes, and each machine's ``labels`` must
-    be its pair; anything else raises :class:`InvalidInputError`.
+    at least two sorted distinct classes; anything else raises
+    :class:`InvalidInputError`.  Each machine plays its pair's second class
+    as +1.
     """
 
     machines: tuple[tuple[tuple[int, int], SvmModel], ...]
@@ -127,8 +129,7 @@ class MulticlassModel:
     def __post_init__(self):
         pairs = [pair for pair, _ in self.machines]
         if (len(self.classes) < 2 or list(self.classes) != sorted(set(self.classes))
-                or pairs != list(combinations(self.classes, 2))
-                or any(machine.labels != pair for pair, machine in self.machines)):
+                or pairs != list(combinations(self.classes, 2))):
             raise InvalidInputError(
                 f"machine pairs {pairs} are not the class pairs of {list(self.classes)}"
             )
@@ -262,31 +263,23 @@ def _objective(alpha: np.ndarray, grad: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * alpha @ (grad + 1.0))
 
 
-def train_binary(
-    gram_matrix: GramMatrix,
-    labels: np.ndarray,
-    config: SvmConfig,
-    features: np.ndarray,
-    class_labels: tuple[int, int] = (-1, 1),
-) -> SvmModel:
-    """Train one binary machine on a precomputed Gram matrix.
+def train_binary(features: np.ndarray, labels: np.ndarray, config: SvmConfig) -> SvmModel:
+    """Train one binary machine on the rows of ``features``.
 
-    ``labels`` must be +/-1 with both classes present; ``features`` holds the
-    corresponding rows so the model can retain its support vectors.
+    ``labels`` holds one +/-1 label per row, with both signs present.  The
+    Gram matrix is built here at ``config.kernel``'s gamma, so it is always
+    the kernel the machine keeps.  The machine retains the rows with
+    alpha > 0 as its support vectors, each with its alpha * y.
     """
-    y = np.asarray(labels, dtype=float)
     features = np.asarray(features, dtype=float)
-    m = gram_matrix.size
-    if y.ndim != 1 or len(y) != m or features.ndim != 2 or features.shape[0] != m:
+    y = np.asarray(labels, dtype=float)
+    gram_matrix = gram(features, config.kernel.gamma)
+    if y.shape != (gram_matrix.size,):
         raise InvalidDimensionError(
-            f"gram size {m}, labels {y.shape} and features {features.shape} do not agree"
+            f"labels {y.shape} and features {features.shape} do not agree"
         )
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be +/-1")
-    if gram_matrix.gamma != config.kernel.gamma:
-        raise InvalidInputError(
-            f"gram gamma {gram_matrix.gamma} != kernel gamma {config.kernel.gamma}"
-        )
 
     alpha, bias, converged, history = solve_dual(
         gram_matrix.values, y, config.c, config.tol, config.max_passes
@@ -294,11 +287,9 @@ def train_binary(
     keep = alpha > 0.0
     return SvmModel(
         support_indices=np.flatnonzero(keep),
-        alphas=alpha[keep],
-        sv_labels=y[keep],
+        dual_coef=alpha[keep] * y[keep],
         support_vectors=features[keep],
         bias=bias,
-        labels=class_labels,
         kernel=config.kernel,
         converged=converged,
         objective_history=history,
@@ -306,21 +297,15 @@ def train_binary(
 
 
 def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
-    """Pre-sign decision values of a batch of points via a cross Gram matrix."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != model.support_vectors.shape[1]:
-        raise InvalidDimensionError(
-            f"points of shape {points.shape} do not match feature dimension "
-            f"{model.support_vectors.shape[1]}"
-        )
-    cross = gram_cross(model.support_vectors, points, model.kernel.gamma)
-    return decision_from_gram(model, cross)
+    """Pre-sign decision values of a batch of points via a cross Gram matrix;
+    :func:`gram_cross` rejects points that do not fit the support vectors."""
+    return decision_from_gram(model, gram_cross(model.support_vectors, points, model.kernel.gamma))
 
 
 def decision_from_gram(model: SvmModel, cross: np.ndarray) -> np.ndarray:
     """Pre-sign decision values from a cross Gram matrix whose rows are points
     and whose columns are the model's support vectors."""
-    return cross @ (model.alphas * model.sv_labels) + model.bias
+    return cross @ model.dual_coef + model.bias
 
 
 def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
@@ -336,11 +321,8 @@ def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
     machines = []
     for neg, pos in combinations(classes, 2):
         mask = (labels == neg) | (labels == pos)
-        sub_features = features[mask]
         y = np.where(labels[mask] == pos, 1.0, -1.0)
-        sub_gram = gram(sub_features, config.kernel.gamma)
-        model = train_binary(sub_gram, y, config, sub_features, class_labels=(neg, pos))
-        machines.append(((neg, pos), model))
+        machines.append(((neg, pos), train_binary(features[mask], y, config)))
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
 
 
@@ -386,27 +368,27 @@ def accuracy(model: MulticlassModel, data) -> float:
     return float(np.count_nonzero(predicted == np.asarray(data.labels)) / len(data.labels))
 
 
-def _machine_to_dict(model: SvmModel) -> dict:
+def _machine_to_dict(pair: tuple[int, int], model: SvmModel) -> dict:
+    """A machine's file entry; ``alphas`` (|alpha * y|) and ``labels`` (the
+    pair again) are derived fields the loader does not read back."""
     return {
+        "pair": list(pair),
+        "labels": list(pair),
         "support_indices": [int(i) for i in model.support_indices],
-        "alphas": [float(a) for a in model.alphas],
-        "alpha_y": [float(a * y) for a, y in zip(model.alphas, model.sv_labels)],
+        "alphas": [abs(float(a)) for a in model.dual_coef],
+        "alpha_y": [float(a) for a in model.dual_coef],
         "support_vectors": [[float(v) for v in row] for row in model.support_vectors],
         "bias": model.bias,
-        "labels": list(model.labels),
         "converged": model.converged,
     }
 
 
 def _machine_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
-    alpha_y = np.asarray(d["alpha_y"], dtype=float)
     return SvmModel(
         support_indices=np.asarray(d["support_indices"], dtype=np.intp),
-        alphas=np.abs(alpha_y),
-        sv_labels=np.sign(alpha_y),
+        dual_coef=np.asarray(d["alpha_y"], dtype=float),
         support_vectors=np.asarray(d["support_vectors"], dtype=float),
         bias=float(d["bias"]),
-        labels=(int(d["labels"][0]), int(d["labels"][1])),
         kernel=kernel_config,
         converged=bool(d["converged"]),
         objective_history=(),
@@ -414,23 +396,20 @@ def _machine_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
 
 
 def model_to_dict(model: MulticlassModel) -> dict:
-    """Versioned JSON-compatible form; alphas are stored as alpha*y products."""
+    """Versioned JSON-compatible form; coefficients are stored as alpha*y."""
     return {
         "version": MODEL_FORMAT_VERSION,
         "type": "one_vs_one",
         "kernel": model.machines[0][1].kernel.to_dict(),
         "classes": list(model.classes),
-        "machines": [
-            {"pair": list(pair), **_machine_to_dict(machine)}
-            for pair, machine in model.machines
-        ],
+        "machines": [_machine_to_dict(pair, machine) for pair, machine in model.machines],
     }
 
 
 def model_from_dict(d: dict) -> MulticlassModel:
     """Inverse of :func:`model_to_dict`; a document with missing or
-    ill-typed fields, or of any type but ``one_vs_one``, raises
-    :class:`InvalidInputError`."""
+    ill-typed fields, of any type but ``one_vs_one``, or with a machine whose
+    ``labels`` are not its ``pair``, raises :class:`InvalidInputError`."""
     try:
         if d.get("version") != MODEL_FORMAT_VERSION:
             raise InvalidInputError(f"unsupported model version: {d.get('version')}")
@@ -441,7 +420,14 @@ def model_from_dict(d: dict) -> MulticlassModel:
             ((int(m["pair"][0]), int(m["pair"][1])), _machine_from_dict(m, kernel_config))
             for m in d["machines"]
         )
-        return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
+        model = MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
+        for (pair, _), m in zip(machines, d["machines"]):
+            labels = (int(m["labels"][0]), int(m["labels"][1]))
+            if labels != pair:
+                raise InvalidInputError(
+                    f"machine labels {list(labels)} are not its pair {list(pair)}"
+                )
+        return model
     except MALFORMED_ERRORS as err:
         raise InvalidInputError(f"malformed model: {type(err).__name__}: {err}") from None
 

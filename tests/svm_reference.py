@@ -112,8 +112,8 @@ def decision_value(model: SvmModel, x: np.ndarray) -> float:
             f"{model.support_vectors.shape[1]}"
         )
     total = 0.0
-    for a, y, sv in zip(model.alphas, model.sv_labels, model.support_vectors):
-        total += a * y * kernel_vec(sv, x, model.kernel.gamma)
+    for coef, sv in zip(model.dual_coef, model.support_vectors):
+        total += coef * kernel_vec(sv, x, model.kernel.gamma)
     return total + model.bias
 
 

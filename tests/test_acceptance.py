@@ -161,9 +161,9 @@ def test_criterion_5_svm_matches_bruteforce_qp():
         c = float(rng.choice([0.5, 1.0, 10.0]))
         g = gram(features, gamma)
         config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig.direct(gamma))
-        model = train_binary(g, labels, config, features=features)
+        model = train_binary(features, labels, config)
         alpha = np.zeros(m)
-        alpha[model.support_indices] = model.alphas
+        alpha[model.support_indices] = np.abs(model.dual_coef)
         oracle_alpha, oracle_value = solve_dual_bruteforce(g.values, labels, c)
         gap = abs(dual_objective(alpha, g.values, labels) - oracle_value)
         worst_gap = max(worst_gap, gap)

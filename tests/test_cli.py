@@ -185,6 +185,43 @@ class TestTrainEvaluateBoundary:
         assert lines[0] == "x1,x2,decision_value,label"
         assert len(lines) == 1 + 100
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_tol_of_one_exits_2_before_writing(self, tmp_path, capsys, moons_csv, command):
+        # at alpha = 0 the violation gap is exactly 2, so tol 1 would stop at
+        # once with no support vector
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "--data", str(moons_csv), "--gamma", "1",
+                                    "--tol", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "tol must be in (0, 1), got 1.0" in err
+        assert not out.exists()
+
+    def test_tol_just_below_one_trains(self, tmp_path, capsys, moons_csv):
+        model_path = tmp_path / "model.json"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(moons_csv), "--gamma", "1",
+                                    "--tol", "0.999", "--out", str(model_path))
+        assert code == 0, err
+        assert parse_json(stdout)["n_sv"] > 0
+        code, _, err = run_cli(capsys, "evaluate", "--model", str(model_path),
+                               "--data", str(moons_csv))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_boundary_of_non_finite_data_exits_2(self, tmp_path, capsys, moons_csv, cell):
+        model_path = tmp_path / "model.json"
+        code, _, err = run_cli(capsys, "train", "--data", str(moons_csv), "--gamma", "1.5",
+                               "--out", str(model_path))
+        assert code == 0, err
+        header, first, *rest = moons_csv.read_text().splitlines()
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join([header, cell + first[first.index(","):], *rest]) + "\n")
+        grid_path = tmp_path / "grid.csv"
+        code, stdout, err = run_cli(capsys, "boundary", "--model", str(model_path),
+                                    "--data", str(bad_csv), "--out", str(grid_path))
+        assert code == 2 and stdout == ""
+        assert "do not give a finite lattice" in err
+        assert not grid_path.exists()
+
     def test_train_with_feature_selection_and_standardize(self, tmp_path, capsys, iris_csv):
         model_path = tmp_path / "iris.json"
         code, stdout, _ = run_cli(
@@ -435,6 +472,10 @@ def _binary(doc):
     doc["machine"] = doc.pop("machines")[0]
 
 
+def _labels_not_the_pair(doc):
+    doc["machines"][0]["labels"] = [1, 0]
+
+
 class TestMalformedOneVsOneModel:
     """A model file whose machines do not fit its classes, or that is not
     one-vs-one, exits 2 from both commands that read models."""
@@ -444,7 +485,8 @@ class TestMalformedOneVsOneModel:
         (_unknown_class, "machine pairs [(0, 5)] are not the class pairs of [0, 1]"),
         (_short_alpha_y, "do not agree"),
         (_binary, "unknown model type: binary"),
-    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary"])
+        (_labels_not_the_pair, "machine labels [1, 0] are not its pair [0, 1]"),
+    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary", "labels-not-the-pair"])
     def test_exits_2(self, tmp_path, capsys, corrupt, hint):
         csv, model_path = tmp_path / "moons.csv", tmp_path / "model.json"
         run_cli(capsys, "data", "generate", "--dataset", "moons", "--n", "60",

@@ -14,7 +14,7 @@ from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
-from dsvkernel.kernel import gram, sq_distances
+from dsvkernel.kernel import sq_distances
 from dsvkernel.svm import (
     MulticlassModel,
     SvmConfig,
@@ -148,9 +148,9 @@ def _box(features):
     return tuple((float(features[:, k].min()), float(features[:, k].max())) for k in (0, 1))
 
 
-def one_machine(machine: SvmModel) -> MulticlassModel:
-    """The 2-class model that holds just ``machine``."""
-    return MulticlassModel(machines=((machine.labels, machine),), classes=machine.labels)
+def one_machine(machine: SvmModel, pair=(0, 1)) -> MulticlassModel:
+    """The 2-class model that holds just ``machine``, for classes ``pair``."""
+    return MulticlassModel(machines=((pair, machine),), classes=pair)
 
 
 def binary_moons_machine(n=60, seed=0):
@@ -159,7 +159,7 @@ def binary_moons_machine(n=60, seed=0):
     moons = make_moons(n, 0.15, seed=seed)
     y = np.where(moons.labels == 1, 1.0, -1.0)
     config = SvmConfig(kernel=KernelConfig.direct(1.5))
-    machine = train_binary(gram(moons.features, 1.5), y, config, moons.features, (0, 1))
+    machine = train_binary(moons.features, y, config)
     return one_machine(machine), _box(moons.features)
 
 
@@ -171,19 +171,18 @@ def vote_tie_model():
     magnitude while k > 0; where k underflows to 0 the magnitudes tie exactly
     too and the lowest class wins.
     """
-    def machine(neg, pos, bias):
+    def machine(bias):
         return SvmModel(
-            support_indices=np.array([0]), alphas=np.array([1.0]),
-            sv_labels=np.array([1.0]), support_vectors=np.array([[0.0, 0.0]]),
-            bias=bias, labels=(neg, pos), kernel=KernelConfig.direct(1.0),
+            support_indices=np.array([0]), dual_coef=np.array([1.0]),
+            support_vectors=np.array([[0.0, 0.0]]), bias=bias, kernel=KernelConfig.direct(1.0),
             converged=True, objective_history=(),
         )
 
     model = MulticlassModel(
         machines=(
-            ((0, 1), machine(0, 1, 0.5)),
-            ((0, 2), machine(0, 2, -0.5)),
-            ((1, 2), machine(1, 2, 0.5)),
+            ((0, 1), machine(0.5)),
+            ((0, 2), machine(-0.5)),
+            ((1, 2), machine(0.5)),
         ),
         classes=(0, 1, 2),
     )
@@ -227,7 +226,7 @@ class TestBoundaryGrid:
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
         config = SvmConfig(c=10.0, tol=1e-8, kernel=KernelConfig.direct(1.0))
-        return one_machine(train_binary(gram(X, 1.0), y, config, X, class_labels=(0, 1)))
+        return one_machine(train_binary(X, y, config))
 
     def test_lattice_sq_distances_match_the_generic_helper(self):
         rng = np.random.default_rng(5)
@@ -326,7 +325,7 @@ class TestBoundaryGrid:
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, -1.0])
         config = SvmConfig(c=10.0, kernel=KernelConfig.direct(1.0))
-        model = one_machine(train_binary(gram(X, 1.0), y, config, X))
+        model = one_machine(train_binary(X, y, config))
         with pytest.raises(InvalidDimensionError):
             exp.boundary_grid(model, ((-1, 1), (-1, 1)), 5, tmp_path / "g.csv")
 

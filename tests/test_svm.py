@@ -32,7 +32,7 @@ from dsvkernel.svm import (
 
 def _train(X, y, gamma=1.0, c=1.0, tol=1e-8):
     config = SvmConfig(c=c, tol=tol, max_passes=200, kernel=KernelConfig.direct(gamma))
-    return train_binary(gram(X, gamma), np.asarray(y, float), config, np.asarray(X, float))
+    return train_binary(X, y, config)
 
 
 def _blobs(seed=0, n_per=12, centers=((0.0, 0.0), (4.0, 4.0), (-4.0, 4.0))):
@@ -55,8 +55,8 @@ class TestTrainBinary:
         X = np.array([[1.0], [-1.0]])
         model = _train(X, [1.0, -1.0], c=10.0)
         assert model.converged
-        assert len(model.alphas) == 2
-        assert model.alphas[0] == model.alphas[1] > 0.0
+        assert len(model.dual_coef) == 2
+        assert model.dual_coef[0] == -model.dual_coef[1] > 0.0
         assert abs(model.bias) <= 1e-9
         assert abs(decision_value(model, np.array([0.0]))) <= 1e-9
 
@@ -73,7 +73,7 @@ class TestTrainBinary:
         model = _train(X, y, c=1000.0)
         g = gram(X, 1.0)
         alpha = np.zeros(4)
-        alpha[model.support_indices] = model.alphas
+        alpha[model.support_indices] = np.abs(model.dual_coef)
         _, best = solve_dual_bruteforce(g.values, y, 1000.0)
         assert abs(dual_objective(alpha, g.values, y) - best) <= 1e-6
 
@@ -84,7 +84,7 @@ class TestTrainBinary:
         model = _train(X, y, gamma=0.9, c=1.0)
         g = gram(X, 0.9)
         alpha = np.zeros(6)
-        alpha[model.support_indices] = model.alphas
+        alpha[model.support_indices] = np.abs(model.dual_coef)
         _, best = solve_dual_bruteforce(g.values, y, 1.0)
         assert abs(dual_objective(alpha, g.values, y) - best) <= 1e-6
 
@@ -94,9 +94,9 @@ class TestTrainBinary:
         y = np.where(X[:, 0] + X[:, 1] > 0, 1.0, -1.0)
         model = _train(X, y, c=2.0, tol=1e-6)
         assert model.converged
-        assert np.all(model.alphas > 0.0)
-        assert np.all(model.alphas <= 2.0 + 1e-12)
-        assert abs(np.sum(model.alphas * model.sv_labels)) <= 1e-6
+        assert np.all(np.abs(model.dual_coef) > 0.0)
+        assert np.all(np.abs(model.dual_coef) <= 2.0 + 1e-12)
+        assert abs(np.sum(model.dual_coef)) <= 1e-6
 
     def test_objective_monotone_over_sweeps(self):
         rng = np.random.default_rng(2)
@@ -130,7 +130,7 @@ class TestTrainBinary:
             y[0] = -y[0]
         a = _train(X, y, gamma=1.1, c=1.0, tol=1e-6)
         b = _train(X, y, gamma=1.1, c=1.0, tol=1e-6)
-        assert np.array_equal(a.alphas, b.alphas)
+        assert np.array_equal(a.dual_coef, b.dual_coef)
         assert np.array_equal(a.support_indices, b.support_indices)
         assert a.bias == b.bias
         assert a.objective_history == b.objective_history
@@ -140,11 +140,12 @@ class TestTrainBinary:
         with pytest.raises(DegenerateLabelsError):
             _train(X, [1.0, 1.0])
 
-    def test_gamma_mismatch_rejected(self):
-        X = np.array([[0.0], [1.0]])
-        config = SvmConfig(kernel=KernelConfig.direct(2.0))
-        with pytest.raises(InvalidInputError):
-            train_binary(gram(X, 1.0), np.array([1.0, -1.0]), config, X)
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, float("nan"), float("inf")])
+    def test_tol_outside_zero_one_rejected(self, tol):
+        # at alpha = 0 the violation gap is exactly 2, so tol >= 1 would stop
+        # before the first update with no support vector
+        with pytest.raises(InvalidInputError, match=r"tol must be in \(0, 1\)"):
+            SvmConfig(tol=tol)
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6, 1e12])
     def test_iris_converges_across_c(self, iris_csv, c):
@@ -158,7 +159,7 @@ class TestTrainBinary:
         X = np.array([[0.0], [1.0]])
         config = SvmConfig(kernel=KernelConfig.direct(1.0))
         with pytest.raises(InvalidInputError):
-            train_binary(gram(X, 1.0), np.array([1.0, 2.0]), config, X)
+            train_binary(X, np.array([1.0, 2.0]), config)
 
     @given(
         st.integers(min_value=0, max_value=2**31),
@@ -179,9 +180,9 @@ class TestTrainBinary:
         c = float(rng.choice([0.5, 1.0, 10.0]))
         g = gram(X, gamma)
         config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig.direct(gamma))
-        model = train_binary(g, y, config, X)
+        model = train_binary(X, y, config)
         alpha = np.zeros(m)
-        alpha[model.support_indices] = model.alphas
+        alpha[model.support_indices] = np.abs(model.dual_coef)
         _, best = solve_dual_bruteforce(g.values, y, c)
         assert abs(dual_objective(alpha, g.values, y) - best) <= 1e-6
 
@@ -193,10 +194,11 @@ class TestDecision:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         tol = 1e-6
         model = _train(X, y, gamma=0.7, c=1.0, tol=tol)
-        free = (model.alphas > 1e-8) & (model.alphas < 1.0 * (1 - 1e-8))
+        alphas = np.abs(model.dual_coef)
+        free = (alphas > 1e-8) & (alphas < 1.0 * (1 - 1e-8))
         assert free.any()
-        for sv, yv in zip(model.support_vectors[free], model.sv_labels[free]):
-            assert abs(decision_value(model, sv) - yv) <= 10 * tol
+        for sv, coef in zip(model.support_vectors[free], model.dual_coef[free]):
+            assert abs(decision_value(model, sv) - np.sign(coef)) <= 10 * tol
 
     def test_batch_equals_loop(self):
         rng = np.random.default_rng(7)
@@ -280,21 +282,19 @@ class TestMulticlass:
         a = train_multiclass(data, config)
         b = train_multiclass(data, config)
         for (_, ma), (_, mb) in zip(a.machines, b.machines):
-            assert np.array_equal(ma.alphas, mb.alphas)
+            assert np.array_equal(ma.dual_coef, mb.dual_coef)
             assert ma.bias == mb.bias
 
 
 def _tie_model(alpha):
     """Hand-built 3-class cycle: at points far from the origin each class gets
     one vote and class 2's machines carry the largest |decision value|."""
-    def stub(neg, pos, bias):
+    def stub(bias):
         return SvmModel(
             support_indices=np.array([0]),
-            alphas=np.array([alpha]),
-            sv_labels=np.array([1.0]),
+            dual_coef=np.array([alpha]),
             support_vectors=np.array([[0.0, 0.0]]),
             bias=bias,
-            labels=(neg, pos),
             kernel=KernelConfig.direct(1.0),
             converged=True,
             objective_history=(),
@@ -302,9 +302,9 @@ def _tie_model(alpha):
 
     return MulticlassModel(
         machines=(
-            ((0, 1), stub(0, 1, bias=0.1)),    # votes 1
-            ((0, 2), stub(0, 2, bias=-0.9)),   # votes 0
-            ((1, 2), stub(1, 2, bias=0.5)),    # votes 2
+            ((0, 1), stub(bias=0.1)),    # votes 1
+            ((0, 2), stub(bias=-0.9)),   # votes 0
+            ((1, 2), stub(bias=0.5)),    # votes 2
         ),
         classes=(0, 1, 2),
     )
@@ -358,8 +358,8 @@ class TestSerialization:
         assert payload["type"] == "one_vs_one"
         assert loaded_model.classes == (-1, 1)
         [((neg, pos), loaded)] = loaded_model.machines
-        assert (neg, pos) == loaded.labels == model.labels
-        assert np.array_equal(loaded.alphas, model.alphas)
+        assert (neg, pos) == (-1, 1)
+        assert np.array_equal(loaded.dual_coef, model.dual_coef)
         assert np.array_equal(loaded.support_vectors, model.support_vectors)
         assert loaded.bias == model.bias
         assert loaded.kernel == model.kernel
@@ -389,21 +389,28 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             model_from_dict({"version": 99, "type": "binary"})
 
+    def test_labels_other_than_the_pair_rejected(self):
+        data = _blobs()
+        doc = model_to_dict(train_multiclass(data, SvmConfig(kernel=KernelConfig.direct(1.0))))
+        assert [m["labels"] for m in doc["machines"]] == [m["pair"] for m in doc["machines"]]
+        doc["machines"][1]["labels"] = [2, 0]
+        with pytest.raises(InvalidInputError, match=r"machine labels \[2, 0\] are not its pair"):
+            model_from_dict(doc)
 
-def _machine(n_alphas=1, n_labels=1, support_vectors=((0.0, 0.0),), labels=(0, 1)):
+
+def _machine(n_coef=1, support_vectors=((0.0, 0.0),)):
     return SvmModel(
-        support_indices=np.arange(n_alphas), alphas=np.ones(n_alphas),
-        sv_labels=np.ones(n_labels), support_vectors=np.array(support_vectors),
-        bias=0.0, labels=labels, kernel=KernelConfig.direct(1.0),
+        support_indices=np.arange(n_coef), dual_coef=np.ones(n_coef),
+        support_vectors=np.array(support_vectors), bias=0.0, kernel=KernelConfig.direct(1.0),
         converged=True, objective_history=(),
     )
 
 
 class TestModelInvariants:
     @pytest.mark.parametrize("kwargs", [
-        dict(n_alphas=2), dict(n_labels=2), dict(support_vectors=((0.0, 0.0), (1.0, 1.0))),
+        dict(n_coef=2), dict(support_vectors=((0.0, 0.0), (1.0, 1.0))),
         dict(support_vectors=(0.0, 0.0)),
-    ], ids=["alphas", "labels", "support-vector-rows", "support-vectors-1d"])
+    ], ids=["alphas", "support-vector-rows", "support-vectors-1d"])
     def test_machine_needs_one_alpha_label_and_row_per_support_vector(self, kwargs):
         with pytest.raises(InvalidInputError):
             _machine(**kwargs)
@@ -413,12 +420,10 @@ class TestModelInvariants:
         ((), (0,)),
         ((((0, 1), _machine()),), (0, 5)),
         ((((0, 1), _machine()),), (1, 0)),
-        ((((0, 1), _machine(labels=(1, 0))),), (0, 1)),
-        ((((0, 1), _machine()), ((1, 2), _machine(labels=(1, 2)))), (0, 1, 2)),
-        ((((0, 2), _machine(labels=(0, 2))), ((0, 1), _machine()),
-          ((1, 2), _machine(labels=(1, 2)))), (0, 1, 2)),
+        ((((0, 1), _machine()), ((1, 2), _machine())), (0, 1, 2)),
+        ((((0, 2), _machine()), ((0, 1), _machine()), ((1, 2), _machine())), (0, 1, 2)),
     ], ids=["no-machines", "one-class", "unknown-class", "unsorted-classes",
-            "labels-not-the-pair", "missing-pair", "pairs-out-of-order"])
+            "missing-pair", "pairs-out-of-order"])
     def test_pairs_are_the_class_combinations(self, machines, classes):
         with pytest.raises(InvalidInputError):
             MulticlassModel(machines=machines, classes=classes)
@@ -426,17 +431,20 @@ class TestModelInvariants:
 
 class TestEdgeGammaProperties:
     """At gamma 1e-300 every kernel value is 1 and at 1e300 the Gram is the
-    identity; either way the trained model's accuracy is a plain per-point
-    count of its one machine's decision values."""
+    identity, and C may be as small as 1e-8 or as large as 1e8; either way
+    every |alpha * y| lies in (0, C], the coefficients sum to zero, and the
+    trained model's accuracy is a plain per-point count of its one machine's
+    decision values."""
 
     @given(
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=2, max_value=30),
         st.integers(min_value=0, max_value=3),
         st.sampled_from([1e-300, 1e300]),
+        st.sampled_from([1e-8, 1.0, 1e8]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_accuracy_is_a_per_point_count(self, seed, m, n_duplicates, gamma):
+    def test_accuracy_is_a_per_point_count(self, seed, m, n_duplicates, gamma, c):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3, 3, size=(m, 2))
         n_duplicates = min(n_duplicates, m - 1)
@@ -446,8 +454,14 @@ class TestEdgeGammaProperties:
         labels[:2] = (0, 1)
         data = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
                               label_names=("a", "b"), provenance={})
-        model = train_multiclass(data, SvmConfig(kernel=KernelConfig.direct(gamma)))
+        model = train_multiclass(data, SvmConfig(c=c, kernel=KernelConfig.direct(gamma)))
         [((neg, pos), machine)] = model.machines
+        assert np.all(np.abs(machine.dual_coef) > 0.0)
+        assert np.all(np.abs(machine.dual_coef) <= c)
+        # each pair update keeps sum(alpha * y) up to the rounding of numbers
+        # no larger than C, and the sum adds at most m of them; 8 m eps C
+        # leaves a factor of about 17 over the worst of 9,000 scratch cases
+        assert abs(np.sum(machine.dual_coef)) <= 8 * m * np.finfo(float).eps * c
         predicted = [pos if decision_value(machine, x) >= 0.0 else neg for x in X]
         correct = sum(int(p == label) for p, label in zip(predicted, labels))
         assert accuracy(model, data) == correct / m
