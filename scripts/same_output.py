@@ -6,13 +6,14 @@
 Each checkout runs every command of :func:`commands` in turn, in a fresh
 directory of its own that starts with a copy of its ``data/iris.csv`` and
 ``data/diabetes.csv`` and an ``iris-nan.csv`` with one ``nan`` feature cell,
-as ``python -m dsvkernel.cli`` with
-``PYTHONPATH=<checkout>/src`` and ``OPENBLAS_NUM_THREADS=1`` (BLAS results,
-and so some output bytes, depend on the thread count).  The script then
-compares each command's exit code, stdout and stderr, and every file the
-commands wrote; ``report.json`` files are compared without their
-``timings``, which hold wall-clock times.  It prints each difference and
-exits 1 if there is one, 0 if there is none.
+as ``python -m dsvkernel.cli`` with ``PYTHONPATH=<checkout>/src``.  The
+parent runs with ``OPENBLAS_NUM_THREADS=1`` and the change with ``2``, so
+the comparison also shows that no output depends on the BLAS thread count;
+``--parent . --change .`` compares a checkout with itself at one and two
+threads.  The script then compares each command's exit code, stdout and
+stderr, and every file the commands wrote; ``report.json`` files are
+compared without their ``timings``, which hold wall-clock times.  It prints
+each difference and exits 1 if there is one, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: ``OPENBLAS_NUM_THREADS`` of each side.
+BLAS_THREADS = {"parent": "1", "change": "2"}
 DATA_FILES = ("iris.csv", "diabetes.csv")
 SEEDS = (1, 2, 3, 4)
 RESOLUTIONS = (2, 15, 41, 77, 150, 299, 300)
@@ -101,13 +104,14 @@ def _non_finite_copy(work: Path) -> None:
     (work / "iris-nan.csv").write_text(text, encoding="utf-8")
 
 
-def run_side(checkout: Path, work: Path, cmds) -> dict:
-    """Run ``cmds`` for one checkout in the empty directory ``work``; returns
-    each command's (exit code, stdout, stderr) by name."""
+def run_side(checkout: Path, work: Path, cmds, blas_threads: str) -> dict:
+    """Run ``cmds`` for one checkout in the empty directory ``work`` with
+    ``OPENBLAS_NUM_THREADS=blas_threads``; returns each command's (exit code,
+    stdout, stderr) by name."""
     for name in DATA_FILES:
         shutil.copyfile(checkout / "data" / name, work / name)
     _non_finite_copy(work)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "PYTHONPATH": str((checkout / "src").resolve())}
     results = {}
     for name, argv in cmds:
@@ -163,7 +167,7 @@ def compare(parent: Path, change: Path, cmds=None) -> list[str]:
         results = {}
         for side, checkout in zip(SIDES, (parent, change)):
             works[side].mkdir()
-            results[side] = run_side(checkout, works[side], cmds)
+            results[side] = run_side(checkout, works[side], cmds, BLAS_THREADS[side])
         return differences(results, works)
 
 

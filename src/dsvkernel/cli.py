@@ -154,7 +154,9 @@ def _cmd_kernel_gram(args) -> int:
         "fingerprint": gram_matrix.data_fingerprint,
     }
     if args.validate:
-        payload["min_eigenvalue"] = gram_matrix.min_eigenvalue()
+        # eigvalsh errs by a small multiple of size * eps * ||K||_2 <= size^2 * eps
+        tolerance = gram_matrix.size ** 2 * sys.float_info.epsilon
+        payload["positive_semidefinite"] = gram_matrix.min_eigenvalue() >= -tolerance
     _emit(payload)
     return EXIT_OK
 
@@ -229,7 +231,6 @@ def _cmd_boundary(args) -> int:
         (float(dataset.features[:, 1].min()), float(dataset.features[:, 1].max())),
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     exp.boundary_grid(model, bounds, args.resolution, out)
     _emit({"out": str(out), "resolution": args.resolution, "bounds": bounds})
     return EXIT_OK
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_file_dataset_flags(p_gram, required=True)
     _add_kernel_flags(p_gram)
     p_gram.add_argument("--validate", action="store_true",
-                        help="also report the minimum eigenvalue")
+                        help="also report whether the Gram is positive semidefinite")
     p_gram.add_argument("--out", required=True)
     p_gram.set_defaults(func=_cmd_kernel_gram)
 

@@ -48,7 +48,6 @@ from .kernel import (
 from .svm import (
     MulticlassModel,
     SvmConfig,
-    SvmModel,
     accuracy,
     decision_from_gram,
     save_model,
@@ -68,11 +67,8 @@ DEFAULT_BOUNDARY_RESOLUTION = 200
 #: boundary-grid bounding box.
 BOUNDARY_PADDING = 0.10
 
-#: Lattice rows (x2 values) a boundary grid computes and writes at a time.
-#: A multiple of 16: OpenBLAS's matrix-vector product handles its outputs in
-#: groups of 4, and when every full band holds a multiple of 16 points each
-#: point lands in the same group as in one product over the whole lattice,
-#: so (at one BLAS thread) the values are those of a whole-lattice export.
+#: Lattice rows (x2 values) a boundary grid computes and writes at a time;
+#: it bounds the export's working memory and does not change its bytes.
 BOUNDARY_BAND_ROWS = 16
 
 DEFAULT_NOISE_SIGMA = {"moons": 0.15, "circles": 0.08, "spirals": 0.5}
@@ -402,7 +398,9 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
 
     The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
     x2 values at a time, streamed to the atomic writer, so memory grows with
-    ``resolution`` rather than its square.
+    ``resolution`` rather than its square; values are row-local, so the bytes
+    are the same at any band size and BLAS thread count.  The parent directory
+    of ``out_path`` is made only after validation.
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
@@ -418,6 +416,7 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
     xs = np.linspace(ends[0], ends[1], resolution)
     ys = np.linspace(ends[2], ends[3], resolution)
     out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, _boundary_lines(model, xs, ys))
     return out_path
 
@@ -428,7 +427,10 @@ def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
     x_reprs = [repr(x) for x in xs.tolist()]
     for start in range(0, len(ys), BOUNDARY_BAND_ROWS):
         band = ys[start:start + BOUNDARY_BAND_ROWS]
-        decisions = [_lattice_decisions(machine, xs, band) for _, machine in model.machines]
+        decisions = []
+        for _, machine in model.machines:
+            sq = lattice_sq_distances(xs, band, machine.support_vectors)
+            decisions.append(decision_from_gram(machine, gaussian(sq, machine.kernel.gamma)))
         labels = vote(model, decisions)
         values = np.zeros(len(labels))
         for ((neg, pos), _), d in zip(model.machines, decisions):
@@ -451,12 +453,6 @@ def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.n
     d1 = sq_distances(xs[:, None], sv[:, :1])
     d2 = sq_distances(ys[:, None], sv[:, 1:])
     return (d2[:, None, :] + d1[None, :, :]).reshape(-1, len(sv))
-
-
-def _lattice_decisions(model: SvmModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``decision_values`` of ``model`` over the lattice of ``xs`` and ``ys``."""
-    sq = lattice_sq_distances(xs, ys, model.support_vectors)
-    return decision_from_gram(model, gaussian(sq, model.kernel.gamma))
 
 
 def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> LabeledDataset:

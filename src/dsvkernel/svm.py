@@ -304,8 +304,10 @@ def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
 
 def decision_from_gram(model: SvmModel, cross: np.ndarray) -> np.ndarray:
     """Pre-sign decision values from a cross Gram matrix whose rows are points
-    and whose columns are the model's support vectors."""
-    return cross @ model.dual_coef + model.bias
+    and whose columns are the model's support vectors: each a fixed-order sum
+    over its own row with no BLAS call (einsum without ``optimize``), so the
+    same at any batch size and any BLAS thread count."""
+    return np.einsum("ij,j->i", cross, model.dual_coef) + model.bias
 
 
 def train_multiclass(data, config: SvmConfig) -> MulticlassModel:
@@ -331,8 +333,9 @@ def vote(model: MulticlassModel, decisions) -> np.ndarray:
     per machine in ``model.machines`` order.
 
     Ties go to the largest summed |decision value| across the machines each
-    tied class participates in, then to the lowest class, so a point's label
-    does not depend on the rest of its batch.
+    tied class participates in, then to the lowest class.  With row-local
+    decision values (:func:`decision_from_gram`), a point's label and values
+    do not depend on the rest of its batch, bit for bit.
     """
     index_of = {c: k for k, c in enumerate(model.classes)}
     votes = np.zeros((len(decisions[0]), len(model.classes)))

@@ -1,8 +1,11 @@
 """Per-point reference for ``experiment.boundary_grid``'s CSV text.
 
 The lattice is built from a list of (x1, x2) tuples, labels come from
-``predict_labels`` and each machine's decision values are then computed a
-second time for the summed signed value; every field is formatted per point.  The array-at-a-time export must match this text byte for byte.
+``predict_labels`` over the whole lattice at once, and each machine's
+decision values are then computed a second time for the summed signed
+value; every field is formatted per point.  Decision values are row-local,
+so the banded export must match this text byte for byte at any band size
+and any BLAS thread count.
 """
 
 import numpy as np

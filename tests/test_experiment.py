@@ -1,10 +1,6 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,26 +185,6 @@ def vote_tie_model():
     return model, ((-1.0, 40.0), (-1.0, 40.0))
 
 
-#: Run in a fresh interpreter with one BLAS thread: boundary_grid bands
-#: against the reference's single whole-lattice product.
-BAND_EDGE_CHECK = """
-import sys
-from pathlib import Path
-
-from boundary_reference import reference_boundary_csv
-from test_experiment import binary_moons_machine, vote_tie_model
-
-from dsvkernel.experiment import boundary_grid
-
-out = Path(sys.argv[1])
-for name, (model, bounds) in (("binary", binary_moons_machine()), ("vote-tie", vote_tie_model())):
-    for resolution in (41, 77):
-        path = boundary_grid(model, bounds, resolution, out / f"{name}-{resolution}.csv")
-        if path.read_bytes() != reference_boundary_csv(model, bounds, resolution).encode():
-            print(f"{name} at resolution {resolution} differs from the reference")
-"""
-
-
 @pytest.fixture(scope="module")
 def boundary_models(iris_csv):
     """A 2-class moons model and a 3-class iris model on two features, each
@@ -291,22 +267,20 @@ class TestBoundaryGrid:
         assert text == reference_boundary_csv(model, bounds, 41)
         assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == {"0", "1", "2"}
 
-    def test_bands_match_the_whole_lattice_reference(self, tmp_path):
-        band = exp.BOUNDARY_BAND_ROWS
-        assert band % 16 == 0
-        # more than one band, the last one partial
-        assert all(r > band and r % band for r in (41, 77))
-        tests_dir = Path(__file__).resolve().parent
-        package_root = Path(exp.__file__).resolve().parents[1]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([str(tests_dir), str(package_root)])}
-        result = subprocess.run(
-            [sys.executable, "-c", BAND_EDGE_CHECK, str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == ""
-        assert len(list(tmp_path.glob("*.csv"))) == 4
+    def test_bands_match_the_whole_lattice_reference(self, tmp_path, monkeypatch,
+                                                     boundary_models):
+        # decision values are row-local, so the band height changes no byte:
+        # one row, a band that leaves a partial last one, the default, and one
+        # band for the whole lattice
+        cases = {**boundary_models, "vote-tie": vote_tie_model()}
+        expected = {(name, resolution): reference_boundary_csv(model, bounds, resolution)
+                    for name, (model, bounds) in cases.items() for resolution in (41, 77)}
+        for band in (1, 7, 16, 77):
+            monkeypatch.setattr(exp, "BOUNDARY_BAND_ROWS", band)
+            for (name, resolution), text in expected.items():
+                model, bounds = cases[name]
+                out = exp.boundary_grid(model, bounds, resolution, tmp_path / "g.csv")
+                assert out.read_text() == text, (name, resolution, band)
 
     def test_peak_memory_is_a_band_not_the_lattice(self, tmp_path):
         model, bounds = binary_moons_machine(n=300, seed=1)

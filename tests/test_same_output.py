@@ -78,7 +78,7 @@ def test_every_kind_of_difference_is_listed(tmp_path):
     ]
 
 
-def test_commands_run_with_one_blas_thread_and_the_checkouts_sources(tmp_path, monkeypatch):
+def test_the_parent_runs_at_one_blas_thread_and_the_change_at_two(tmp_path, monkeypatch):
     parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
     for checkout in (parent, change):
         (checkout / "src" / "dsvkernel" / "cli.py").write_text(
@@ -88,10 +88,14 @@ def test_commands_run_with_one_blas_thread_and_the_checkouts_sources(tmp_path, m
         )
     work = tmp_path / "work"
     work.mkdir()
-    results = same_output.run_side(parent, work, [("where", ["where"])])
+    results = same_output.run_side(parent, work, [("where", ["where"])], "1")
     assert results["where"] == (0, f"1 {parent / 'src' / 'dsvkernel'}\n", "")
     # the nan copy of iris.csv is made before the commands run
     assert (work / "iris-nan.csv").read_text() == "a,b,label\n1.0,nan,x\n"
+    # one checkout against itself: only the thread count differs
+    found = same_output.compare(parent, parent, [("where", ["where"])])
+    assert found == ["where: stdout differs, line 1: "
+                     f"'1 {parent / 'src' / 'dsvkernel'}' -> '2 {parent / 'src' / 'dsvkernel'}'"]
     monkeypatch.setattr(same_output, "commands", lambda: [("where", ["where"])])
     assert same_output.main(["--parent", str(parent), "--change", str(change)]) == 1
 

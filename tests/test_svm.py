@@ -216,6 +216,38 @@ class TestDecision:
             decision_value(model, np.array([0.0, 1.0]))
 
 
+class TestBatchInvariance:
+    """Decision values are a fixed-order sum over each point's own row, so a
+    contiguous slice of a batch gives the same bits as those rows of the
+    whole batch, at any BLAS thread count."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=3),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_slices_equal_the_whole_batch(self, seed, n_classes, gamma, data):
+        rng = np.random.default_rng(seed)
+        # noisy labels give machines with tens of support vectors
+        X = rng.normal(size=(90, 2))
+        labels = rng.integers(0, n_classes, size=90)
+        labels[:n_classes] = np.arange(n_classes)
+        train = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
+                               label_names=tuple("abc"[:n_classes]), provenance={})
+        model = train_multiclass(train, SvmConfig(kernel=KernelConfig.direct(gamma)))
+        batch = rng.normal(scale=2.0, size=(1000, 2))
+        start = data.draw(st.integers(min_value=0, max_value=999))
+        stop = data.draw(st.integers(min_value=start + 1, max_value=1000))
+        for _, machine in model.machines:
+            whole = decision_values(machine, batch)
+            assert decision_values(machine, batch[start:stop]).tobytes() == \
+                whole[start:stop].tobytes()
+        assert np.array_equal(predict_labels(model, batch[start:stop]),
+                              predict_labels(model, batch)[start:stop])
+
+
 class TestPredictBinary:
     def test_sign_mapping(self):
         model = _train(np.array([[1.0], [-1.0]]), [1.0, -1.0], c=10.0)
