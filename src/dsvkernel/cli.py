@@ -28,8 +28,8 @@ from . import experiment as exp
 from .data import load_csv, recode_labels, save_csv
 from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
 from .fock import DEFAULT_CUTOFF, SqueezeParams
-from .kernel import KernelConfig, gram, kernel_vec
-from .svm import SvmConfig, accuracy, load_model, save_model, train_multiclass
+from .kernel import KernelConfig, gram, kernel_vec, sq_distances
+from .svm import SvmConfig, accuracy, load_model, save_model
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -171,15 +171,16 @@ def _cmd_train(args) -> int:
     config = SvmConfig(c=args.c, tol=args.tol, max_passes=args.max_passes, kernel=kernel)
     spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
     _, train_ds, test_ds, replay = exp.prepare(spec)
-    model = train_multiclass(train_ds, config)
+    sq = sq_distances(train_ds.features, train_ds.features)
+    model, train_acc, test_acc = exp.fit_and_score(train_ds, test_ds, config, sq)
     converged = all(m.converged for _, m in model.machines)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model, extra={**replay, "seed": args.seed})
     _emit({
         "model": str(out),
-        "train_acc": accuracy(model, train_ds),
-        "test_acc": accuracy(model, test_ds),
+        "train_acc": train_acc,
+        "test_acc": test_acc,
         "n_sv": sum(m.n_support for _, m in model.machines),
         "converged": converged,
     })

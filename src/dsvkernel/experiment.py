@@ -52,6 +52,7 @@ from .svm import (
     decision_from_gram,
     save_model,
     train_multiclass,
+    training_decisions,
     vote,
 )
 
@@ -315,16 +316,37 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
     return path
 
 
+def fit_and_score(train_ds: LabeledDataset, test_ds: LabeledDataset, config: SvmConfig,
+                  sq: np.ndarray) -> tuple[MulticlassModel, float, float]:
+    """``(model, train_acc, test_acc)``: the training path of ``sweep`` and
+    CLI ``train``.
+
+    ``sq``, the squared distances between the training rows, gives every
+    machine's Gram and the training split's score
+    (:func:`dsvkernel.svm.training_decisions`) and is left unchanged; the
+    test split is scored by :func:`dsvkernel.svm.accuracy`.
+    """
+    model = train_multiclass(train_ds, config, sq)
+    labels = np.asarray(train_ds.labels)
+    predicted = vote(model, training_decisions(model, labels, sq))
+    train_acc = float(np.count_nonzero(predicted == labels) / len(labels))
+    return model, train_acc, accuracy(model, test_ds)
+
+
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     """Split, optionally standardize, and train/evaluate one SVM per gamma.
 
     A gamma = 1.0 baseline row is always present (appended when missing from
-    the spec) and flagged ``is_baseline``.
+    the spec) and flagged ``is_baseline``.  The training rows' squared
+    distances are computed once, and every gamma's :func:`fit_and_score`
+    takes its Gram and training-split score from them; a row's
+    ``wall_time_s`` leaves that shared step out.
     """
     dataset, train_ds, test_ds, replay = prepare(spec)
     gammas = list(spec.gammas)
     if 1.0 not in gammas:
         gammas.append(1.0)
+    sq = sq_distances(train_ds.features, train_ds.features)
 
     rows = []
     models = {}
@@ -334,9 +356,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
             c=spec.c, tol=spec.tol, max_passes=spec.max_passes,
             kernel=KernelConfig.direct(gamma),
         )
-        model = train_multiclass(train_ds, config)
-        train_acc = accuracy(model, train_ds)
-        test_acc = accuracy(model, test_ds)
+        model, train_acc, test_acc = fit_and_score(train_ds, test_ds, config, sq)
         rows.append(
             ExperimentRow(
                 gamma=gamma,

@@ -8,15 +8,31 @@ bytes for the same input.
 :func:`decision_value` sums kernel values one support vector at a time, so
 the cross-Gram path of :func:`dsvkernel.svm.decision_values` can be checked
 against it point by point.
+
+:func:`train_multiclass_reference` and :func:`fit_and_score_reference` are
+the per-fit training path: every machine gets its own
+:class:`~dsvkernel.kernel.GramMatrix` from :func:`~dsvkernel.kernel.gram`,
+and the training split is scored through
+:func:`~dsvkernel.svm.decision_values`' cross Gram.  Training on shared
+squared distances must give the same bytes.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from dsvkernel.errors import InvalidDimensionError
-from dsvkernel.kernel import kernel_vec
-from dsvkernel.svm import TAU, MulticlassModel, SvmModel, predict_multiclass_batch
+from dsvkernel.kernel import gram, kernel_vec
+from dsvkernel.svm import (
+    TAU,
+    MulticlassModel,
+    SvmModel,
+    accuracy,
+    predict_multiclass_batch,
+    solve_dual,
+)
 
 
 def solve_dual_reference(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
@@ -128,3 +144,42 @@ def predict_multiclass(model: MulticlassModel, x: np.ndarray) -> int:
     if x.ndim != 1:
         raise InvalidDimensionError(f"expected a 1-d point, got shape {x.shape}")
     return int(predict_multiclass_batch(model, x[None, :])[0])
+
+
+def train_binary_reference(features: np.ndarray, y: np.ndarray, config) -> SvmModel:
+    """One machine on its own :func:`gram` of ``features``."""
+    features = np.asarray(features, dtype=float)
+    gram_matrix = gram(features, config.kernel.gamma)
+    alpha, bias, converged, history = solve_dual(
+        gram_matrix.values, y, config.c, config.tol, config.max_passes
+    )
+    keep = alpha > 0.0
+    return SvmModel(
+        support_indices=np.flatnonzero(keep),
+        dual_coef=alpha[keep] * y[keep],
+        support_vectors=features[keep],
+        bias=bias,
+        kernel=config.kernel,
+        converged=converged,
+        objective_history=history,
+    )
+
+
+def train_multiclass_reference(data, config) -> MulticlassModel:
+    """One-vs-one training with one :func:`gram` per machine."""
+    labels = np.asarray(data.labels)
+    features = np.asarray(data.features, dtype=float)
+    classes = sorted(int(c) for c in np.unique(labels))
+    machines = []
+    for neg, pos in combinations(classes, 2):
+        mask = (labels == neg) | (labels == pos)
+        y = np.where(labels[mask] == pos, 1.0, -1.0)
+        machines.append(((neg, pos), train_binary_reference(features[mask], y, config)))
+    return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
+
+
+def fit_and_score_reference(train_ds, test_ds, config, sq=None):
+    """:func:`dsvkernel.experiment.fit_and_score` on the per-fit path; ``sq``
+    is ignored."""
+    model = train_multiclass_reference(train_ds, config)
+    return model, accuracy(model, train_ds), accuracy(model, test_ds)

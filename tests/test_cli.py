@@ -228,6 +228,24 @@ class TestTrainEvaluateBoundary:
         # the --out directory is made only once the lattice is valid
         assert not grid_path.parent.exists()
 
+    def test_train_with_a_non_finite_test_row_writes_no_model(self, tmp_path, capsys,
+                                                              moons_csv):
+        # both splits are scored before the model is written
+        dataset = load_csv(moons_csv, "label")
+        _, _, test, _ = exp.prepare(exp.ExperimentSpec(
+            dataset=exp.FileSpec(path=str(moons_csv)), gammas=(1.0,), seed=0))
+        row = next(i for i, x in enumerate(dataset.features) if (x == test.features[0]).all())
+        lines = moons_csv.read_text().splitlines()
+        lines[row + 1] = "nan" + lines[row + 1][lines[row + 1].index(","):]
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "out" / "model.json"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(bad_csv), "--gamma", "1",
+                                    "--out", str(model_path))
+        assert code == 2 and stdout == ""
+        assert "test contains non-finite entries" in err
+        assert not model_path.parent.exists()
+
     def test_train_with_feature_selection_and_standardize(self, tmp_path, capsys, iris_csv):
         model_path = tmp_path / "iris.json"
         code, stdout, _ = run_cli(

@@ -21,7 +21,9 @@ from dsvkernel.svm import (
 )
 
 from boundary_reference import reference_boundary_csv
+from conftest import MISSING_DIABETES_MSG, diabetes_available
 from report_reference import reports_equal_ignoring_timings
+from svm_reference import fit_and_score_reference
 
 
 def _moons_spec(**overrides):
@@ -138,6 +140,55 @@ class TestSweep:
         assert exp.select_gamma(rows) == 1.25
         rows.append(exp.ExperimentRow(1.1, 1.0, 0.95, 4, True, False, 0.0))
         assert exp.select_gamma(rows) == 1.1
+
+
+class TestSharedTrainingPath:
+    """A sweep trains and scores every gamma from one squared-distance
+    matrix; its files equal those of the per-fit path, which builds a Gram
+    per machine and scores the training split through a cross Gram."""
+
+    @pytest.mark.parametrize("name", ["iris", "moons"])
+    def test_sweep_files_equal_the_per_fit_path(self, tmp_path, monkeypatch, iris_csv, name):
+        if name == "iris":
+            dataset = exp.FileSpec(path=str(iris_csv), label_column="species")
+        else:
+            dataset = exp.GeneratorSpec("moons")
+        spec = exp.ExperimentSpec(dataset=dataset, gammas=exp.DEFAULT_GAMMA_GRID,
+                                  standardize=name == "iris", seed=1)
+        exp.sweep(spec, spec.gammas, out_dir=tmp_path / "shared")
+        monkeypatch.setattr(exp, "fit_and_score", fit_and_score_reference)
+        exp.sweep(spec, spec.gammas, out_dir=tmp_path / "per-fit")
+        shared = sorted(p.name for p in (tmp_path / "shared").iterdir())
+        assert shared == sorted(p.name for p in (tmp_path / "per-fit").iterdir())
+        assert len(shared) == 1 + len(spec.gammas) + (1.0 not in spec.gammas)
+        for file_name in shared:
+            a = (tmp_path / "shared" / file_name).read_text()
+            b = (tmp_path / "per-fit" / file_name).read_text()
+            if file_name == "report.json":
+                assert reports_equal_ignoring_timings(json.loads(a), json.loads(b))
+            else:
+                assert a == b, file_name
+
+    def test_fit_keeps_no_extra_training_kernel(self, diabetes_csv):
+        if not diabetes_available():
+            pytest.skip(MISSING_DIABETES_MSG)
+        spec = exp.ExperimentSpec(
+            dataset=exp.FileSpec(path=str(diabetes_csv), pca_components=2),
+            gammas=(1.0,), standardize=True, seed=1,
+        )
+        _, train, test, _ = exp.prepare(spec)
+        m = train.n_samples
+        assert m == 537
+        tracemalloc.start()
+        try:
+            sq = sq_distances(train.features, train.features)
+            exp.fit_and_score(train, test, SvmConfig(kernel=KernelConfig.direct(1.0)), sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the distances, then one Gram or the training score's gather at a
+        # time; one more m x m copy of either would pass 3 m^2 doubles
+        assert peak < 2.5 * m * m * 8
 
 
 def _box(features):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qp_oracle import dual_objective, solve_dual_bruteforce
-from svm_reference import decision_value, predict_binary, predict_multiclass
+from svm_reference import (
+    decision_value,
+    predict_binary,
+    predict_multiclass,
+    train_multiclass_reference,
+)
 
 from dsvkernel.data import LabeledDataset, load_csv, standardize_apply, standardize_fit
 from dsvkernel.errors import (
@@ -13,7 +18,7 @@ from dsvkernel.errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from dsvkernel.kernel import KernelConfig, gram
+from dsvkernel.kernel import KernelConfig, gram, sq_distances
 from dsvkernel.svm import (
     MulticlassModel,
     SvmConfig,
@@ -27,6 +32,7 @@ from dsvkernel.svm import (
     save_model,
     train_binary,
     train_multiclass,
+    training_decisions,
 )
 
 
@@ -246,6 +252,66 @@ class TestBatchInvariance:
                 whole[start:stop].tobytes()
         assert np.array_equal(predict_labels(model, batch[start:stop]),
                               predict_labels(model, batch)[start:stop])
+
+
+class TestSharedDistances:
+    """Training on one shared squared-distance matrix gives the per-fit
+    path's bytes: every machine's alphas, bias, flag and history, and its
+    decision values on the training rows."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_fit_reference(self, seed, n_classes, n_duplicates,
+                                           n_contradictions, log_gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 2))
+        labels = rng.integers(0, n_classes, size=40)
+        labels[:n_classes] = np.arange(n_classes)
+        # exact copies under their own label, then under another one
+        copies = rng.integers(0, 40, size=n_duplicates + n_contradictions)
+        X = np.vstack([X, X[copies]])
+        flipped = (labels[copies[n_duplicates:]] + 1) % n_classes
+        labels = np.concatenate([labels, labels[copies[:n_duplicates]], flipped])
+        data = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
+                              label_names=tuple("abc"[:n_classes]), provenance={})
+        config = SvmConfig(kernel=KernelConfig.direct(10.0 ** log_gamma))
+        sq = sq_distances(X, X)
+        before = sq.copy()
+        model = train_multiclass(data, config, sq)
+        assert sq.tobytes() == before.tobytes()
+        reference = train_multiclass_reference(data, config)
+        decisions = training_decisions(model, labels, sq)
+        for (pair, machine), (ref_pair, ref), d in zip(model.machines, reference.machines,
+                                                       decisions):
+            assert pair == ref_pair
+            assert machine.support_indices.tobytes() == ref.support_indices.tobytes()
+            assert machine.dual_coef.tobytes() == ref.dual_coef.tobytes()
+            assert machine.support_vectors.tobytes() == ref.support_vectors.tobytes()
+            assert (machine.bias, machine.converged) == (ref.bias, ref.converged)
+            assert machine.objective_history == ref.objective_history
+            assert d.tobytes() == decision_values(ref, X).tobytes()
+
+    def test_distances_must_fit_the_rows(self):
+        data = _blobs()
+        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        with pytest.raises(InvalidDimensionError, match="squared distances"):
+            train_multiclass(data, config, np.zeros((3, 3)))
+        X = data.features[:4]
+        with pytest.raises(InvalidDimensionError, match="squared distances"):
+            train_binary(X, [1.0, -1.0, 1.0, -1.0], config, np.zeros((5, 5)))
+
+    def test_gram_checks_still_run(self):
+        # distances that are not symmetric give a Gram that is not either
+        X = np.array([[0.0], [1.0]])
+        sq = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="exactly symmetric"):
+            train_binary(X, [1.0, -1.0], SvmConfig(), sq)
 
 
 class TestPredictBinary:
