@@ -52,7 +52,6 @@ from .svm import (
     decision_from_gram,
     save_model,
     train_multiclass,
-    training_decisions,
     vote,
 )
 
@@ -322,15 +321,11 @@ def fit_and_score(train_ds: LabeledDataset, test_ds: LabeledDataset, config: Svm
     CLI ``train``.
 
     ``sq``, the squared distances between the training rows, gives every
-    machine's Gram and the training split's score
-    (:func:`dsvkernel.svm.training_decisions`) and is left unchanged; the
-    test split is scored by :func:`dsvkernel.svm.accuracy`.
+    machine's Gram and the training split's score and is left unchanged;
+    the test split is scored through a cross Gram.
     """
     model = train_multiclass(train_ds, config, sq)
-    labels = np.asarray(train_ds.labels)
-    predicted = vote(model, training_decisions(model, labels, sq))
-    train_acc = float(np.count_nonzero(predicted == labels) / len(labels))
-    return model, train_acc, accuracy(model, test_ds)
+    return model, accuracy(model, train_ds, sq), accuracy(model, test_ds)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:

@@ -117,30 +117,15 @@ def data_fingerprint(data: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def check_gram(values: np.ndarray) -> np.ndarray:
-    """``values`` itself once it is a square, exactly symmetric matrix with a
-    unit diagonal and entries in [0, 1]; anything else raises."""
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InvalidDimensionError(f"Gram matrix must be square, got {values.shape}")
-    if not np.array_equal(values, values.T):
-        raise InvalidInputError("Gram matrix must be exactly symmetric")
-    if not np.all(np.diag(values) == 1.0):
-        raise InvalidInputError("Gram diagonal must be exactly 1")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise InvalidInputError("Gram entries must lie in [0, 1]")
-    return values
-
-
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise kernel values over one dataset, with the provenance that
-    ``kernel gram`` writes; training checks its Gram with :func:`check_gram`
-    but keeps no copy of it.
+    """Pairwise kernel values over one dataset.
 
     Exactly symmetric, because (a - b)^2 and (b - a)^2 are the same float
     and are summed over coordinates in the same order, with a unit diagonal.
     Off-diagonal entries lie in [0, 1]; zero only occurs when exp underflows
-    for very distant pairs.
+    for very distant pairs.  ``values`` is copied unless it is already a
+    read-only float array, which :func:`gram` hands over as its own.
     """
 
     values: np.ndarray
@@ -148,9 +133,19 @@ class GramMatrix:
     data_fingerprint: str
 
     def __post_init__(self):
-        arr = np.array(check_gram(np.asarray(self.values, dtype=float)))
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise InvalidDimensionError(f"Gram matrix must be square, got {v.shape}")
+        if not np.array_equal(v, v.T):
+            raise InvalidInputError("Gram matrix must be exactly symmetric")
+        if not np.all(np.diag(v) == 1.0):
+            raise InvalidInputError("Gram diagonal must be exactly 1")
+        if v.min() < 0.0 or v.max() > 1.0:
+            raise InvalidInputError("Gram entries must lie in [0, 1]")
+        if v.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
@@ -167,7 +162,7 @@ class GramMatrix:
         atomic_write_text(path, chain([header], rows))
 
 
-def validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
+def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise InvalidDimensionError(f"{name} must be a 2-d matrix with rows, got {data.shape}")
@@ -201,20 +196,32 @@ def gaussian(sq: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def gram(data: np.ndarray, gamma: float) -> GramMatrix:
-    """Gram matrix of kernel_vec over all row pairs of an M x N matrix, as
-    ``kernel gram`` writes it; training builds its Gram from shared squared
-    distances instead (:func:`dsvkernel.svm.train_binary`)."""
-    data = validate_matrix(data, "data")
+def gram(data: np.ndarray, gamma: float, sq: np.ndarray | None = None) -> GramMatrix:
+    """Gram matrix of kernel_vec over all row pairs of an M x N matrix.
+
+    ``sq``, when given, holds the rows' squared distances as
+    :func:`sq_distances` returns them; it is read, not changed, so one array
+    can serve every gamma of a sweep.
+    """
+    data = _validate_matrix(data, "data")
     gamma = check_gamma(gamma)
-    values = gaussian(sq_distances(data, data), gamma)
+    if sq is None:
+        sq = sq_distances(data, data)
+    elif sq.shape != (len(data), len(data)):
+        raise InvalidDimensionError(
+            f"squared distances {sq.shape} and data {data.shape} do not agree"
+        )
+    else:
+        sq = sq.copy()
+    values = gaussian(sq, gamma)
+    values.setflags(write=False)
     return GramMatrix(values=values, gamma=gamma, data_fingerprint=data_fingerprint(data))
 
 
 def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:
     """Rectangular kernel matrix; rows are test points, columns train points."""
-    train = validate_matrix(train, "train")
-    test = validate_matrix(test, "test")
+    train = _validate_matrix(train, "train")
+    test = _validate_matrix(test, "test")
     if train.shape[1] != test.shape[1]:
         raise InvalidDimensionError(
             f"feature dimensions differ: train {train.shape[1]}, test {test.shape[1]}"

@@ -44,14 +44,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from .kernel import (
-    KernelConfig,
-    check_gram,
-    gaussian,
-    gram_cross,
-    sq_distances,
-    validate_matrix,
-)
+from .kernel import KernelConfig, gaussian, gram, gram_cross
 
 #: Curvature used in place of a non-positive one (duplicate rows).
 TAU = 1e-12
@@ -275,24 +268,24 @@ def train_binary(features: np.ndarray, labels: np.ndarray, config: SvmConfig,
     """Train one binary machine on the rows of ``features``.
 
     ``labels`` holds one +/-1 label per row, with both signs present.  The
-    Gram matrix is ``gaussian(sq, gamma)`` at ``config.kernel``'s gamma,
-    built in the buffer of ``sq``, the rows' squared distances (computed when
-    None, overwritten when given), and checked by :func:`check_gram`.  The
-    machine retains the rows with alpha > 0 as its support vectors, each with
-    its alpha * y.
+    Gram matrix is built here by :func:`gram` at ``config.kernel``'s gamma,
+    so it is always the kernel the machine keeps; ``sq``, the rows' squared
+    distances, is passed on to it and left unchanged (None: :func:`gram`
+    computes them).  The machine retains the rows with alpha > 0 as its
+    support vectors, each with its alpha * y.
     """
-    features = validate_matrix(features, "data")
+    features = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if y.shape != (len(features),):
+    gram_matrix = gram(features, config.kernel.gamma, sq)
+    if y.shape != (gram_matrix.size,):
         raise InvalidDimensionError(
             f"labels {y.shape} and features {features.shape} do not agree"
         )
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be +/-1")
-    gram_values = check_gram(gaussian(_own_sq(features, sq), config.kernel.gamma))
 
     alpha, bias, converged, history = solve_dual(
-        gram_values, y, config.c, config.tol, config.max_passes
+        gram_matrix.values, y, config.c, config.tol, config.max_passes
     )
     keep = alpha > 0.0
     return SvmModel(
@@ -323,44 +316,31 @@ def decision_from_gram(model: SvmModel, cross: np.ndarray) -> np.ndarray:
 def train_multiclass(data, config: SvmConfig, sq: np.ndarray | None = None) -> MulticlassModel:
     """One-vs-one training over every class pair present in the data.
 
-    Within each pair the higher class index plays +1.  ``sq`` holds the
-    squared distances between all rows (computed when None) and is left
-    unchanged, so one array serves every gamma of a sweep.  Each machine
-    trains on a copy of its pair's block of it, which becomes its Gram and
-    is freed before the next machine's block is taken.
+    Within each pair the higher class index plays +1.  ``sq``, when given,
+    holds the squared distances between all rows (``sq_distances`` of the
+    features with themselves) and is left unchanged, so one array serves
+    every gamma of a sweep: each machine's Gram is built from its pair's
+    block of it, and from ``sq`` itself when the pair covers every row.
     """
     labels = np.asarray(data.labels)
-    features = validate_matrix(data.features, "data")
+    features = np.asarray(data.features, dtype=float)
     classes = sorted(int(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise DegenerateLabelsError(f"need at least 2 classes, got {classes}")
-    sq = _own_sq(features, sq)
+    _check_distances(sq, len(labels))
     machines = []
-    for pair in combinations(classes, 2):
-        rows = _pair_rows(labels, pair)
-        y = np.where(labels[rows] == pair[1], 1.0, -1.0)
-        # the same values; a plain copy takes a sixth of np.ix_'s time at m = 537
-        block = sq.copy() if len(rows) == len(sq) else sq[np.ix_(rows, rows)]
-        machines.append((pair, train_binary(features[rows], y, config, block)))
-        del block  # now the machine's Gram: free it before the next block
+    for neg, pos in combinations(classes, 2):
+        mask = (labels == neg) | (labels == pos)
+        y = np.where(labels[mask] == pos, 1.0, -1.0)
+        # no block copy when the pair takes every row: one m x m array fewer
+        block = sq if sq is None or mask.all() else sq[np.ix_(mask, mask)]
+        machines.append(((neg, pos), train_binary(features[mask], y, config, block)))
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
 
 
-def _own_sq(features: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
-    """``sq`` if it is square over the rows of ``features``, or their
-    squared distances when it is None."""
-    if sq is None:
-        return sq_distances(features, features)
-    if sq.shape != (len(features),) * 2:
-        raise InvalidDimensionError(
-            f"squared distances {sq.shape} and features {features.shape} do not agree"
-        )
-    return sq
-
-
-def _pair_rows(labels: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Indices of the rows labelled with either class of ``pair``."""
-    return np.flatnonzero((labels == pair[0]) | (labels == pair[1]))
+def _check_distances(sq: np.ndarray | None, n: int) -> None:
+    if sq is not None and sq.shape != (n, n):
+        raise InvalidDimensionError(f"squared distances {sq.shape} do not fit {n} rows")
 
 
 def training_decisions(model: MulticlassModel, labels, sq: np.ndarray) -> list[np.ndarray]:
@@ -373,9 +353,10 @@ def training_decisions(model: MulticlassModel, labels, sq: np.ndarray) -> list[n
     on the same rows bit for bit.
     """
     labels = np.asarray(labels)
+    _check_distances(sq, len(labels))
     decisions = []
-    for pair, machine in model.machines:
-        columns = _pair_rows(labels, pair)[machine.support_indices]
+    for (neg, pos), machine in model.machines:
+        columns = np.flatnonzero((labels == neg) | (labels == pos))[machine.support_indices]
         decisions.append(decision_from_gram(
             machine, gaussian(np.take(sq, columns, axis=1), machine.kernel.gamma)
         ))
@@ -417,11 +398,19 @@ def predict_labels(model: MulticlassModel, points: np.ndarray) -> np.ndarray:
     return predict_multiclass_batch(model, points)
 
 
-def accuracy(model: MulticlassModel, data) -> float:
-    """Fraction of rows whose predicted label matches."""
+def accuracy(model: MulticlassModel, data, sq: np.ndarray | None = None) -> float:
+    """Fraction of rows whose predicted label matches.
+
+    ``sq`` is for the rows ``model`` was trained on: given their squared
+    distances as passed to :func:`train_multiclass`, the rows are scored by
+    :func:`training_decisions` instead of a cross Gram, with the same labels.
+    """
     if len(data.labels) == 0:
         raise InvalidInputError("cannot score an empty dataset")
-    predicted = predict_labels(model, data.features)
+    if sq is None:
+        predicted = predict_labels(model, data.features)
+    else:
+        predicted = vote(model, training_decisions(model, data.labels, sq))
     return float(np.count_nonzero(predicted == np.asarray(data.labels)) / len(data.labels))
 
 

@@ -245,6 +245,28 @@ class TestGram:
         with pytest.raises(InvalidInputError):
             GramMatrix(values=bad, gamma=1.0, data_fingerprint="x")
 
+    def test_constructor_copies_a_writeable_array_and_keeps_a_read_only_one(self):
+        values = np.array([[1.0, 0.5], [0.5, 1.0]])
+        g = GramMatrix(values=values, gamma=1.0, data_fingerprint="x")
+        values[0, 1] = values[1, 0] = 0.25
+        assert g.values[0, 1] == 0.5 and not g.values.flags.writeable
+        values.setflags(write=False)
+        assert GramMatrix(values=values, gamma=1.0, data_fingerprint="x").values is values
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.7, 1e3])
+    def test_given_distances_give_the_same_bytes_and_stay_unchanged(self, gamma):
+        data = np.random.default_rng(5).normal(size=(30, 3))
+        sq = sq_distances(data, data)
+        before = sq.tobytes()
+        g = gram(data, gamma, sq)
+        assert sq.tobytes() == before
+        assert g.values.tobytes() == gram(data, gamma).values.tobytes()
+
+    def test_given_distances_must_fit_the_rows(self):
+        data = np.zeros((3, 2))
+        with pytest.raises(InvalidDimensionError, match="squared distances"):
+            gram(data, 1.0, np.zeros((2, 2)))
+
 
 class TestGramCross:
     def test_same_data_matches_gram(self):
