@@ -77,6 +77,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--data", "diabetes.csv"]),
         ("boundary-non-finite", ["boundary", "--model", "iris-1.json", "--data",
                                  "iris-nan.csv", "--out", "iris-nan-grid.csv"]),
+        ("train-pca-non-finite", ["train", "--data", "iris-nan.csv", "--label-column",
+                                  "species", "--pca", "2", "--gamma", "1.5",
+                                  "--out", "iris-nan-pca.json"]),
         ("gram-iris-validate", ["kernel", "gram", "--data", "iris.csv", "--label-column",
                                 "species", "--gamma", "1.5", "--validate",
                                 "--out", "gram-iris.csv"]),

@@ -85,10 +85,6 @@ class LabeledDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.label_names)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -357,12 +353,15 @@ class PcaModel:
 
 
 def pca_fit(data: LabeledDataset, k: int) -> PcaModel:
-    """Top-k eigenvectors of the sample covariance of mean-centered features."""
+    """Top-k eigenvectors of the sample covariance of mean-centered features;
+    a ``nan`` or infinite feature raises :class:`InvalidInputError`."""
     m, n = data.features.shape
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
     if m < 2:
         raise InvalidInputError(f"PCA needs at least 2 samples, got {m}")
+    if not np.isfinite(data.features).all():
+        raise InvalidInputError("PCA input contains non-finite entries")
     mean = data.features.mean(axis=0)
     centered = data.features - mean
     cov = centered.T @ centered / (m - 1)

@@ -310,7 +310,7 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
         save_model(
             out_dir / f"model_gamma_{gamma!r}.json",
             model,
-            extra={**report.replay, "spec_hash": report.spec.spec_hash(), "gamma": gamma},
+            extra={**report.replay, "spec_hash": report.spec.spec_hash()},
         )
     return path
 

@@ -49,7 +49,7 @@ from .kernel import KernelConfig, gaussian, gram, gram_cross
 #: Curvature used in place of a non-positive one (duplicate rows).
 TAU = 1e-12
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ class MulticlassModel:
     """One-vs-one ensemble: L(L-1)/2 binary machines over sorted class pairs.
 
     The pairs must be exactly ``combinations(classes, 2)`` in that order, for
-    at least two sorted distinct classes; anything else raises
+    at least two sorted distinct classes, and every machine's support vectors
+    must have the same width; anything else raises
     :class:`InvalidInputError`.  Each machine plays its pair's second class
     as +1.
     """
@@ -133,6 +134,9 @@ class MulticlassModel:
             raise InvalidInputError(
                 f"machine pairs {pairs} are not the class pairs of {list(self.classes)}"
             )
+        widths = [machine.support_vectors.shape[1] for _, machine in self.machines]
+        if len(set(widths)) > 1:
+            raise InvalidInputError(f"machines' support vectors have widths {widths}")
 
 
 def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int):
@@ -415,13 +419,11 @@ def accuracy(model: MulticlassModel, data, sq: np.ndarray | None = None) -> floa
 
 
 def _machine_to_dict(pair: tuple[int, int], model: SvmModel) -> dict:
-    """A machine's file entry; ``alphas`` (|alpha * y|) and ``labels`` (the
-    pair again) are derived fields the loader does not read back."""
+    """A machine's file entry, each fact once: its class ``pair``, and per
+    support vector its training-row index, alpha * y and row."""
     return {
         "pair": list(pair),
-        "labels": list(pair),
         "support_indices": model.support_indices.tolist(),
-        "alphas": np.abs(model.dual_coef).tolist(),
         "alpha_y": model.dual_coef.tolist(),
         "support_vectors": model.support_vectors.tolist(),
         "bias": model.bias,
@@ -453,12 +455,14 @@ def model_to_dict(model: MulticlassModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MulticlassModel:
-    """Inverse of :func:`model_to_dict`; a document with missing or
-    ill-typed fields, of any type but ``one_vs_one``, or with a machine whose
-    ``labels`` are not its ``pair``, raises :class:`InvalidInputError`."""
+    """Inverse of :func:`model_to_dict`; a document of another version, with
+    missing or ill-typed fields, or of any type but ``one_vs_one`` raises
+    :class:`InvalidInputError`.  Training is deterministic, so retraining
+    rewrites an older file's machines in this version."""
     try:
         if d.get("version") != MODEL_FORMAT_VERSION:
-            raise InvalidInputError(f"unsupported model version: {d.get('version')}")
+            raise InvalidInputError(f"unsupported model version: {d.get('version')}; "
+                                    f"retrain to write version {MODEL_FORMAT_VERSION}")
         kernel_config = KernelConfig.from_dict(d["kernel"])
         if d["type"] != "one_vs_one":
             raise InvalidInputError(f"unknown model type: {d['type']}")
@@ -466,14 +470,7 @@ def model_from_dict(d: dict) -> MulticlassModel:
             ((int(m["pair"][0]), int(m["pair"][1])), _machine_from_dict(m, kernel_config))
             for m in d["machines"]
         )
-        model = MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
-        for (pair, _), m in zip(machines, d["machines"]):
-            labels = (int(m["labels"][0]), int(m["labels"][1]))
-            if labels != pair:
-                raise InvalidInputError(
-                    f"machine labels {list(labels)} are not its pair {list(pair)}"
-                )
-        return model
+        return MulticlassModel(machines=machines, classes=tuple(int(c) for c in d["classes"]))
     except MALFORMED_ERRORS as err:
         raise InvalidInputError(f"malformed model: {type(err).__name__}: {err}") from None
 

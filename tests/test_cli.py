@@ -228,6 +228,22 @@ class TestTrainEvaluateBoundary:
         # the --out directory is made only once the lattice is valid
         assert not grid_path.parent.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["train"], ["kernel", "gram"], ["sweep"]],
+                             ids=["train", "kernel-gram", "sweep"])
+    def test_pca_of_non_finite_data_exits_2(self, tmp_path, capsys, iris_csv, command, cell):
+        header, first, *rest = iris_csv.read_text().splitlines()
+        cells = first.split(",")
+        cells[1] = cell
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        out = tmp_path / "out" / "result"
+        code, stdout, err = run_cli(capsys, *command, "--data", str(bad_csv), "--label-column",
+                                    "species", "--pca", "2", "--gamma", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.endswith("dsvkernel: error: PCA input contains non-finite entries\n")
+        assert not out.parent.exists()
+
     def test_train_with_a_non_finite_test_row_writes_no_model(self, tmp_path, capsys,
                                                               moons_csv):
         # both splits are scored before the model is written
@@ -332,16 +348,20 @@ class TestTrainEvaluateBoundary:
 
     @pytest.mark.parametrize("text, hint", [
         ("{not json", "not a JSON model file"),
-        ('{"version": 1}', "'kernel'"),
-    ], ids=["not-json", "no-kernel"])
+        ('{"version": 1}', "unsupported model version: 1; retrain to write version 2"),
+        ('{"version": 2}', "'kernel'"),
+    ], ids=["not-json", "version-1", "no-kernel"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, moons_csv, text, hint):
         model_path = tmp_path / "bad.json"
         model_path.write_text(text)
-        code, _, err = run_cli(
-            capsys, "evaluate", "--model", str(model_path), "--data", str(moons_csv),
-        )
-        assert code == 2
-        assert hint in err
+        grid_path = tmp_path / "grid.csv"
+        for command, extra in (("evaluate", []), ("boundary", ["--out", str(grid_path)])):
+            code, _, err = run_cli(
+                capsys, command, "--model", str(model_path), "--data", str(moons_csv), *extra,
+            )
+            assert code == 2, (command, err)
+            assert hint in err
+        assert not grid_path.exists()
 
     @pytest.mark.parametrize("field, value, commands", [
         ("preprocessing", [{"kind": "standardize"}], ("evaluate", "boundary")),
@@ -549,8 +569,16 @@ def _binary(doc):
     doc["machine"] = doc.pop("machines")[0]
 
 
-def _labels_not_the_pair(doc):
-    doc["machines"][0]["labels"] = [1, 0]
+def _support_vector_width(n_columns):
+    """A third class whose last machine's support vectors are ``n_columns``
+    wide while the other two machines' are 2."""
+    def corrupt(doc):
+        machine = doc["machines"][0]
+        odd = [[row[0]] * n_columns for row in machine["support_vectors"]]
+        doc["classes"] = [0, 1, 2]
+        doc["machines"] = [machine, {**machine, "pair": [0, 2]},
+                           {**machine, "pair": [1, 2], "support_vectors": odd}]
+    return corrupt
 
 
 class TestMalformedOneVsOneModel:
@@ -562,8 +590,9 @@ class TestMalformedOneVsOneModel:
         (_unknown_class, "machine pairs [(0, 5)] are not the class pairs of [0, 1]"),
         (_short_alpha_y, "do not agree"),
         (_binary, "unknown model type: binary"),
-        (_labels_not_the_pair, "machine labels [1, 0] are not its pair [0, 1]"),
-    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary", "labels-not-the-pair"])
+        (_support_vector_width(1), "machines' support vectors have widths [2, 2, 1]"),
+        (_support_vector_width(3), "machines' support vectors have widths [2, 2, 3]"),
+    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary", "width-1", "width-3"])
     def test_exits_2(self, tmp_path, capsys, corrupt, hint):
         csv, model_path = tmp_path / "moons.csv", tmp_path / "model.json"
         run_cli(capsys, "data", "generate", "--dataset", "moons", "--n", "60",

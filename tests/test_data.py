@@ -117,7 +117,7 @@ class TestLoadCsv:
         data = load_csv(iris_csv, "species")
         assert data.n_samples == 150
         assert data.n_features == 4
-        assert data.n_classes == 3
+        assert len(data.label_names) == 3
         assert data.label_names == ("setosa", "versicolor", "virginica")
 
     def test_missing_file_raises_oserror(self, tmp_path):

@@ -104,6 +104,9 @@ class TestRunExperiment:
         assert (tmp_path / "model_gamma_1.5.json").exists()
         model_doc = json.loads((tmp_path / "model_gamma_1.5.json").read_text())
         assert model_doc["spec_hash"] == report.spec.spec_hash()
+        # the width is stored once, as the kernel's
+        assert model_doc["version"] == 2 and model_doc["kernel"]["gamma"] == 1.5
+        assert "gamma" not in model_doc
 
     def test_replay_byte_identical_excluding_timings(self, tmp_path):
         exp.run_experiment(_moons_spec(), out_dir=tmp_path / "a")

@@ -36,6 +36,10 @@ from dsvkernel.svm import (
 )
 
 
+#: The keys of a machine entry in a model file, each fact once.
+MACHINE_FIELDS = {"pair", "support_indices", "alpha_y", "support_vectors", "bias", "converged"}
+
+
 def _train(X, y, gamma=1.0, c=1.0, tol=1e-8):
     config = SvmConfig(c=c, tol=tol, max_passes=200, kernel=KernelConfig.direct(gamma))
     return train_binary(X, y, config)
@@ -452,8 +456,9 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(path, MulticlassModel(machines=(((-1, 1), model),), classes=(-1, 1)))
         loaded_model, payload = load_model(path)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["type"] == "one_vs_one"
+        assert set(payload["machines"][0]) == MACHINE_FIELDS
         assert loaded_model.classes == (-1, 1)
         [((neg, pos), loaded)] = loaded_model.machines
         assert (neg, pos) == (-1, 1)
@@ -470,7 +475,9 @@ class TestSerialization:
         model = train_multiclass(data, config)
         path = tmp_path / "ovo.json"
         save_model(path, model)
-        loaded, _ = load_model(path)
+        loaded, payload = load_model(path)
+        assert len(payload["machines"]) == 3
+        assert all(set(m) == MACHINE_FIELDS for m in payload["machines"])
         assert isinstance(loaded, MulticlassModel)
         assert loaded.classes == model.classes
         assert np.array_equal(predict_labels(loaded, data.features),
@@ -486,14 +493,6 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(InvalidInputError):
             model_from_dict({"version": 99, "type": "binary"})
-
-    def test_labels_other_than_the_pair_rejected(self):
-        data = _blobs()
-        doc = model_to_dict(train_multiclass(data, SvmConfig(kernel=KernelConfig.direct(1.0))))
-        assert [m["labels"] for m in doc["machines"]] == [m["pair"] for m in doc["machines"]]
-        doc["machines"][1]["labels"] = [2, 0]
-        with pytest.raises(InvalidInputError, match=r"machine labels \[2, 0\] are not its pair"):
-            model_from_dict(doc)
 
 
 def _machine(n_coef=1, support_vectors=((0.0, 0.0),)):
@@ -525,6 +524,13 @@ class TestModelInvariants:
     def test_pairs_are_the_class_combinations(self, machines, classes):
         with pytest.raises(InvalidInputError):
             MulticlassModel(machines=machines, classes=classes)
+
+    @pytest.mark.parametrize("odd_width", [1, 3])
+    def test_machines_share_one_support_vector_width(self, odd_width):
+        odd = _machine(support_vectors=((0.0,) * odd_width,))
+        with pytest.raises(InvalidInputError, match=rf"widths \[2, 2, {odd_width}\]"):
+            MulticlassModel(machines=(((0, 1), _machine()), ((0, 2), _machine()),
+                                      ((1, 2), odd)), classes=(0, 1, 2))
 
 
 class TestEdgeGammaProperties:
