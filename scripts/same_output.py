@@ -5,8 +5,9 @@
 
 Each checkout runs every command of :func:`commands` in turn, in a fresh
 directory of its own that starts with a copy of its ``data/iris.csv`` and
-``data/diabetes.csv`` and an ``iris-nan.csv`` with one ``nan`` feature cell,
-as ``python -m dsvkernel.cli`` with ``PYTHONPATH=<checkout>/src``.  The
+``data/diabetes.csv``, an ``iris-nan.csv`` and an ``iris-inf.csv`` with one
+``nan`` or ``inf`` feature cell and a ``nan-bias.json`` model whose bias is
+``NaN``, as ``python -m dsvkernel.cli`` with ``PYTHONPATH=<checkout>/src``.  The
 parent runs with ``OPENBLAS_NUM_THREADS=1`` and the change with ``2``, so
 the comparison also shows that no output depends on the BLAS thread count;
 ``--parent . --change .`` compares a checkout with itself at one and two
@@ -31,6 +32,13 @@ SIDES = ("parent", "change")
 #: ``OPENBLAS_NUM_THREADS`` of each side.
 BLAS_THREADS = {"parent": "1", "change": "2"}
 DATA_FILES = ("iris.csv", "diabetes.csv")
+#: A two-class model for ``moons.csv`` whose bias JSON writes as ``NaN``.
+NAN_BIAS_MODEL = {
+    "version": 2, "type": "one_vs_one", "kernel": {"gamma": 1.5}, "classes": [0, 1],
+    "machines": [{"pair": [0, 1], "support_indices": [0, 1], "alpha_y": [-1.0, 1.0],
+                  "support_vectors": [[0.0, 0.5], [1.0, -0.5]], "bias": float("nan"),
+                  "converged": True}],
+}
 SEEDS = (1, 2, 3, 4)
 RESOLUTIONS = (2, 15, 41, 77, 150, 299, 300)
 TRAIN_FLAGS = {
@@ -80,6 +88,12 @@ def commands() -> list[tuple[str, list[str]]]:
         ("train-pca-non-finite", ["train", "--data", "iris-nan.csv", "--label-column",
                                   "species", "--pca", "2", "--gamma", "1.5",
                                   "--out", "iris-nan-pca.json"]),
+        ("train-standardize-non-finite", ["train", "--data", "iris-inf.csv",
+                                          "--label-column", "species", "--standardize",
+                                          "--gamma", "1.5", "--out", "iris-inf.json"]),
+        ("evaluate-nan-bias", ["evaluate", "--model", "nan-bias.json", "--data", "moons.csv"]),
+        ("boundary-nan-bias", ["boundary", "--model", "nan-bias.json", "--data", "moons.csv",
+                               "--resolution", "15", "--out", "nan-bias-grid.csv"]),
         ("gram-iris-validate", ["kernel", "gram", "--data", "iris.csv", "--label-column",
                                 "species", "--gamma", "1.5", "--validate",
                                 "--out", "gram-iris.csv"]),
@@ -97,14 +111,17 @@ def commands() -> list[tuple[str, list[str]]]:
     return cmds
 
 
-def _non_finite_copy(work: Path) -> None:
-    """``iris-nan.csv``: ``iris.csv`` with the second cell of its first row,
-    a sepal width, set to ``nan``."""
+def _non_finite_inputs(work: Path) -> None:
+    """``iris-nan.csv`` and ``iris-inf.csv``: ``iris.csv`` with the second
+    cell of its first row, a sepal width, set to ``nan`` or ``inf``; and
+    ``nan-bias.json``."""
     header, first, *rest = (work / "iris.csv").read_text(encoding="utf-8").splitlines()
     cells = first.split(",")
-    cells[1] = "nan"
-    text = "\n".join([header, ",".join(cells), *rest]) + "\n"
-    (work / "iris-nan.csv").write_text(text, encoding="utf-8")
+    for value in ("nan", "inf"):
+        cells[1] = value
+        text = "\n".join([header, ",".join(cells), *rest]) + "\n"
+        (work / f"iris-{value}.csv").write_text(text, encoding="utf-8")
+    (work / "nan-bias.json").write_text(json.dumps(NAN_BIAS_MODEL), encoding="utf-8")
 
 
 def run_side(checkout: Path, work: Path, cmds, blas_threads: str) -> dict:
@@ -113,7 +130,7 @@ def run_side(checkout: Path, work: Path, cmds, blas_threads: str) -> dict:
     stdout, stderr) by name."""
     for name in DATA_FILES:
         shutil.copyfile(checkout / "data" / name, work / name)
-    _non_finite_copy(work)
+    _non_finite_inputs(work)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "PYTHONPATH": str((checkout / "src").resolve())}
     results = {}

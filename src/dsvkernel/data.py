@@ -451,7 +451,8 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
     and then tops classes up, ordered by fractional remainder with seeded
     tie-breaking, until floor(train_fraction * M) rows are in the training
     set; no class may lose its last test row.  Membership is seeded; row
-    order within each part follows the original dataset.
+    order within each part follows the original dataset, and both parts keep
+    its provenance.
     """
     rng = SplitMix64(spec.seed, STREAM_SPLIT)
     m = data.n_samples
@@ -488,23 +489,8 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
         train_idx = sorted(train_idx)
         test_idx = sorted(set(range(m)) - set(train_idx))
 
-    def _subset(indices: list[int], role: str) -> LabeledDataset:
-        return replace(
-            data,
-            features=data.features[indices],
-            labels=data.labels[indices],
-            provenance={
-                **data.provenance,
-                "split": {
-                    "train_fraction": spec.train_fraction,
-                    "seed": spec.seed,
-                    "stratified": spec.stratified,
-                    "role": role,
-                },
-            },
-        )
-
-    return _subset(train_idx, "train"), _subset(test_idx, "test")
+    return (replace(data, features=data.features[train_idx], labels=data.labels[train_idx]),
+            replace(data, features=data.features[test_idx], labels=data.labels[test_idx]))
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:

@@ -35,7 +35,12 @@ from .data import (
     standardize_apply,
     standardize_fit,
 )
-from .errors import MALFORMED_ERRORS, InvalidDimensionError, InvalidInputError
+from .errors import (
+    MALFORMED_ERRORS,
+    DatasetParseError,
+    InvalidDimensionError,
+    InvalidInputError,
+)
 from .fock import DEFAULT_CUTOFF, SqueezeParams, circuit_kernel
 from .kernel import (
     KernelConfig,
@@ -195,7 +200,12 @@ def build_dataset(dataset_spec: GeneratorSpec | FileSpec, seed: int) -> LabeledD
 
 def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[dict]]:
     """The dataset and the transform chain that replays its file-level steps
-    (feature selection, whole-file standardization and PCA) on the raw CSV."""
+    (feature selection, whole-file standardization and PCA) on the raw CSV.
+
+    A ``nan`` or infinite cell in a loaded column raises
+    :class:`DatasetParseError` naming the first such cell; data rows count
+    from 1 after the header.
+    """
     if isinstance(dataset_spec, GeneratorSpec):
         if dataset_spec.kind == "moons":
             ds = make_moons(dataset_spec.n, dataset_spec.noise_sigma, seed)
@@ -208,6 +218,13 @@ def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[di
         return ds, []
     features = list(dataset_spec.feature_columns) if dataset_spec.feature_columns else None
     ds = load_csv(dataset_spec.path, dataset_spec.label_column, features)
+    bad = np.argwhere(~np.isfinite(ds.features))
+    if len(bad):
+        row, col = bad[0]
+        raise DatasetParseError(
+            f"{dataset_spec.path}: data row {row + 1}, column {ds.feature_names[col]!r}: "
+            f"not finite: {float(ds.features[row, col])!r}"
+        )
     chain = [{"kind": "select", "names": features}] if features else []
     if dataset_spec.pca_components is not None:
         scaler = standardize_fit(ds)

@@ -85,12 +85,9 @@ class KernelConfig:
 
 
 def kernel_scalar(xp: float, xq: float, gamma: float) -> float:
-    """exp(-gamma (xq - xp)^2) for scalar inputs."""
-    xp, xq = float(xp), float(xq)
-    if not (math.isfinite(xp) and math.isfinite(xq)):
-        raise InvalidInputError("kernel inputs must be finite")
-    check_gamma(gamma)
-    return math.exp(-gamma * (xq - xp) ** 2)
+    """exp(-gamma (xq - xp)^2) for scalar inputs: :func:`kernel_vec` on
+    1-vectors, so the square is the x * x of every Gram."""
+    return kernel_vec([xp], [xq], gamma)
 
 
 def kernel_vec(xp: np.ndarray, xq: np.ndarray, gamma: float) -> float:
@@ -119,33 +116,12 @@ def data_fingerprint(data: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise kernel values over one dataset.
-
-    Exactly symmetric, because (a - b)^2 and (b - a)^2 are the same float
-    and are summed over coordinates in the same order, with a unit diagonal.
-    Off-diagonal entries lie in [0, 1]; zero only occurs when exp underflows
-    for very distant pairs.  ``values`` is copied unless it is already a
-    read-only float array, which :func:`gram` hands over as its own.
-    """
+    """Pairwise kernel values over one dataset, as :func:`gram` builds them;
+    a plain record that checks nothing itself."""
 
     values: np.ndarray
     gamma: float
     data_fingerprint: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InvalidDimensionError(f"Gram matrix must be square, got {v.shape}")
-        if not np.array_equal(v, v.T):
-            raise InvalidInputError("Gram matrix must be exactly symmetric")
-        if not np.all(np.diag(v) == 1.0):
-            raise InvalidInputError("Gram diagonal must be exactly 1")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise InvalidInputError("Gram entries must lie in [0, 1]")
-        if v.flags.writeable:
-            v = v.copy()
-            v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
@@ -196,23 +172,28 @@ def gaussian(sq: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def check_distances(sq: np.ndarray | None, n: int) -> None:
+    """Reject squared distances ``sq`` (None: none given) that are not n x n."""
+    if sq is not None and sq.shape != (n, n):
+        raise InvalidDimensionError(f"squared distances {sq.shape} do not fit {n} rows")
+
+
 def gram(data: np.ndarray, gamma: float, sq: np.ndarray | None = None) -> GramMatrix:
     """Gram matrix of kernel_vec over all row pairs of an M x N matrix.
 
     ``sq``, when given, holds the rows' squared distances as
     :func:`sq_distances` returns them; it is read, not changed, so one array
     can serve every gamma of a sweep.
+
+    The values are read-only, exactly symmetric (so are the distances) and
+    have a unit diagonal, since exp(-gamma * 0) = 1; every entry lies in
+    [0, 1], since it is exp of a number that is not positive, and is 0 only
+    where exp underflows for a very distant pair.
     """
     data = _validate_matrix(data, "data")
     gamma = check_gamma(gamma)
-    if sq is None:
-        sq = sq_distances(data, data)
-    elif sq.shape != (len(data), len(data)):
-        raise InvalidDimensionError(
-            f"squared distances {sq.shape} and data {data.shape} do not agree"
-        )
-    else:
-        sq = sq.copy()
+    check_distances(sq, len(data))
+    sq = sq_distances(data, data) if sq is None else sq.copy()
     values = gaussian(sq, gamma)
     values.setflags(write=False)
     return GramMatrix(values=values, gamma=gamma, data_fingerprint=data_fingerprint(data))

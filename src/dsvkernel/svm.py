@@ -44,7 +44,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from .kernel import KernelConfig, gaussian, gram, gram_cross
+from .kernel import KernelConfig, check_distances, gaussian, gram, gram_cross
 
 #: Curvature used in place of a non-positive one (duplicate rows).
 TAU = 1e-12
@@ -273,9 +273,11 @@ def train_binary(features: np.ndarray, labels: np.ndarray, config: SvmConfig,
 
     ``labels`` holds one +/-1 label per row, with both signs present.  The
     Gram matrix is built here by :func:`gram` at ``config.kernel``'s gamma,
-    so it is always the kernel the machine keeps; ``sq``, the rows' squared
-    distances, is passed on to it and left unchanged (None: :func:`gram`
-    computes them).  The machine retains the rows with alpha > 0 as its
+    so it is always the kernel the machine keeps, and it is exactly
+    symmetric with a unit diagonal, as :func:`gram` guarantees, which lets
+    the solver read rows for columns.  ``sq``, the rows' squared distances,
+    is passed on to it and left unchanged (None: :func:`gram` computes
+    them).  The machine retains the rows with alpha > 0 as its
     support vectors, each with its alpha * y.
     """
     features = np.asarray(features, dtype=float)
@@ -331,7 +333,7 @@ def train_multiclass(data, config: SvmConfig, sq: np.ndarray | None = None) -> M
     classes = sorted(int(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise DegenerateLabelsError(f"need at least 2 classes, got {classes}")
-    _check_distances(sq, len(labels))
+    check_distances(sq, len(labels))
     machines = []
     for neg, pos in combinations(classes, 2):
         mask = (labels == neg) | (labels == pos)
@@ -340,11 +342,6 @@ def train_multiclass(data, config: SvmConfig, sq: np.ndarray | None = None) -> M
         block = sq if sq is None or mask.all() else sq[np.ix_(mask, mask)]
         machines.append(((neg, pos), train_binary(features[mask], y, config, block)))
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
-
-
-def _check_distances(sq: np.ndarray | None, n: int) -> None:
-    if sq is not None and sq.shape != (n, n):
-        raise InvalidDimensionError(f"squared distances {sq.shape} do not fit {n} rows")
 
 
 def training_decisions(model: MulticlassModel, labels, sq: np.ndarray) -> list[np.ndarray]:
@@ -357,7 +354,7 @@ def training_decisions(model: MulticlassModel, labels, sq: np.ndarray) -> list[n
     on the same rows bit for bit.
     """
     labels = np.asarray(labels)
-    _check_distances(sq, len(labels))
+    check_distances(sq, len(labels))
     decisions = []
     for (neg, pos), machine in model.machines:
         columns = np.flatnonzero((labels == neg) | (labels == pos))[machine.support_indices]
@@ -432,11 +429,20 @@ def _machine_to_dict(pair: tuple[int, int], model: SvmModel) -> dict:
 
 
 def _machine_from_dict(d: dict, kernel_config: KernelConfig) -> SvmModel:
+    """A machine from its file entry; JSON's ``NaN`` and ``Infinity`` in
+    ``alpha_y``, ``support_vectors`` or ``bias`` raise
+    :class:`InvalidInputError`."""
+    numbers = {"alpha_y": np.asarray(d["alpha_y"], dtype=float),
+               "support_vectors": np.asarray(d["support_vectors"], dtype=float),
+               "bias": float(d["bias"])}
+    for name, values in numbers.items():
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"machine {d['pair']}: {name} holds a non-finite number")
     return SvmModel(
         support_indices=np.asarray(d["support_indices"], dtype=np.intp),
-        dual_coef=np.asarray(d["alpha_y"], dtype=float),
-        support_vectors=np.asarray(d["support_vectors"], dtype=float),
-        bias=float(d["bias"]),
+        dual_coef=numbers["alpha_y"],
+        support_vectors=numbers["support_vectors"],
+        bias=numbers["bias"],
         kernel=kernel_config,
         converged=bool(d["converged"]),
         objective_history=(),

@@ -241,12 +241,56 @@ class TestTrainEvaluateBoundary:
         code, stdout, err = run_cli(capsys, *command, "--data", str(bad_csv), "--label-column",
                                     "species", "--pca", "2", "--gamma", "1", "--out", str(out))
         assert code == 2 and stdout == ""
-        assert err.endswith("dsvkernel: error: PCA input contains non-finite entries\n")
+        # one line, checked before PCA or any other step runs
+        assert err == (f"dsvkernel: error: {bad_csv}: data row 1, column 'sepal_width': "
+                       f"not finite: {cell}\n")
         assert not out.parent.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["train", "--standardize"], ["sweep", "--standardize"],
+                                         ["kernel", "gram"]],
+                             ids=["train", "sweep", "kernel-gram"])
+    def test_non_finite_cell_is_one_error_line(self, tmp_path, capsys, iris_csv, command,
+                                               cell):
+        # numpy warns on inf - inf; the cell is rejected before any arithmetic
+        lines = iris_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out" / "result"
+        code, stdout, err = run_cli(capsys, *command, "--data", str(bad_csv), "--label-column",
+                                    "species", "--gamma", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == (f"dsvkernel: error: {bad_csv}: data row 3, column 'petal_length': "
+                       f"not finite: {cell}\n")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_in_a_dropped_column_is_read(self, tmp_path, capsys, iris_csv,
+                                                         cell):
+        # evaluate and boundary load the whole file and drop what the model's
+        # chain does not select, so only the selected columns must be finite
+        model_path = tmp_path / "model.json"
+        code, _, err = run_cli(capsys, "train", "--data", str(iris_csv), "--label-column",
+                               "species", "--features", "sepal_width,petal_width",
+                               "--standardize", "--gamma", "1", "--out", str(model_path))
+        assert code == 0, err
+        header, first, *rest = iris_csv.read_text().splitlines()
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join([header, cell + first[first.index(","):], *rest]) + "\n")
+        for command, extra in (("evaluate", []),
+                               ("boundary", ["--out", str(tmp_path / "grid.csv")])):
+            outputs = [run_cli(capsys, command, "--model", str(model_path), "--data", str(csv),
+                               *extra) for csv in (iris_csv, bad_csv)]
+            assert outputs[0][0] == 0 and outputs[1] == outputs[0], command
 
     def test_train_with_a_non_finite_test_row_writes_no_model(self, tmp_path, capsys,
                                                               moons_csv):
-        # both splits are scored before the model is written
+        # a non-finite cell of a test row is rejected when the file is read,
+        # before the split, and its data row is named
         dataset = load_csv(moons_csv, "label")
         _, _, test, _ = exp.prepare(exp.ExperimentSpec(
             dataset=exp.FileSpec(path=str(moons_csv)), gammas=(1.0,), seed=0))
@@ -259,7 +303,8 @@ class TestTrainEvaluateBoundary:
         code, stdout, err = run_cli(capsys, "train", "--data", str(bad_csv), "--gamma", "1",
                                     "--out", str(model_path))
         assert code == 2 and stdout == ""
-        assert "test contains non-finite entries" in err
+        assert err == (f"dsvkernel: error: {bad_csv}: data row {row + 1}, column 'x1': "
+                       "not finite: nan\n")
         assert not model_path.parent.exists()
 
     def test_train_with_feature_selection_and_standardize(self, tmp_path, capsys, iris_csv):
@@ -569,6 +614,20 @@ def _binary(doc):
     doc["machine"] = doc.pop("machines")[0]
 
 
+def _non_finite(field, value):
+    """JSON's ``NaN`` or ``Infinity`` in a machine's ``field``: the first
+    number of an array, or the number itself."""
+    def corrupt(doc):
+        machine = doc["machines"][0]
+        if field == "bias":
+            machine["bias"] = value
+        elif field == "alpha_y":
+            machine["alpha_y"][0] = value
+        else:
+            machine["support_vectors"][0][0] = value
+    return corrupt
+
+
 def _support_vector_width(n_columns):
     """A third class whose last machine's support vectors are ``n_columns``
     wide while the other two machines' are 2."""
@@ -592,7 +651,13 @@ class TestMalformedOneVsOneModel:
         (_binary, "unknown model type: binary"),
         (_support_vector_width(1), "machines' support vectors have widths [2, 2, 1]"),
         (_support_vector_width(3), "machines' support vectors have widths [2, 2, 3]"),
-    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary", "width-1", "width-3"])
+        (_non_finite("bias", math.nan), "machine [0, 1]: bias holds a non-finite number"),
+        (_non_finite("alpha_y", math.inf),
+         "machine [0, 1]: alpha_y holds a non-finite number"),
+        (_non_finite("support_vectors", math.nan),
+         "machine [0, 1]: support_vectors holds a non-finite number"),
+    ], ids=["no-machines", "unknown-class", "short-alpha-y", "binary", "width-1", "width-3",
+            "nan-bias", "inf-alpha-y", "nan-support-vector"])
     def test_exits_2(self, tmp_path, capsys, corrupt, hint):
         csv, model_path = tmp_path / "moons.csv", tmp_path / "model.json"
         run_cli(capsys, "data", "generate", "--dataset", "moons", "--n", "60",

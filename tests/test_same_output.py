@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 
 import pytest
 from conftest import REPO_ROOT
@@ -90,8 +91,10 @@ def test_the_parent_runs_at_one_blas_thread_and_the_change_at_two(tmp_path, monk
     work.mkdir()
     results = same_output.run_side(parent, work, [("where", ["where"])], "1")
     assert results["where"] == (0, f"1 {parent / 'src' / 'dsvkernel'}\n", "")
-    # the nan copy of iris.csv is made before the commands run
+    # the non-finite inputs are made before the commands run
     assert (work / "iris-nan.csv").read_text() == "a,b,label\n1.0,nan,x\n"
+    assert (work / "iris-inf.csv").read_text() == "a,b,label\n1.0,inf,x\n"
+    assert math.isnan(json.loads((work / "nan-bias.json").read_text())["machines"][0]["bias"])
     # one checkout against itself: only the thread count differs
     found = same_output.compare(parent, parent, [("where", ["where"])])
     assert found == ["where: stdout differs, line 1: "
@@ -102,8 +105,9 @@ def test_the_parent_runs_at_one_blas_thread_and_the_change_at_two(tmp_path, monk
 
 def test_default_command_list_is_fixed():
     names = [name for name, _ in same_output.commands()]
-    assert len(names) == len(set(names)) == 123
+    assert len(names) == len(set(names)) == 126
     assert {"data-generate-moons", "train-iris-1", "evaluate-diabetes-4",
             "boundary-moons-2-300", "gram-iris-validate", "sweep-diabetes",
             "sweep-spirals", "train-moons-tol-1", "boundary-non-finite",
-            "train-pca-non-finite"} <= set(names)
+            "train-pca-non-finite", "train-standardize-non-finite", "evaluate-nan-bias",
+            "boundary-nan-bias"} <= set(names)

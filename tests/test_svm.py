@@ -310,13 +310,6 @@ class TestSharedDistances:
         with pytest.raises(InvalidDimensionError, match="squared distances"):
             train_binary(X, [1.0, -1.0, 1.0, -1.0], config, np.zeros((5, 5)))
 
-    def test_gram_checks_still_run(self):
-        # distances that are not symmetric give a Gram that is not either
-        X = np.array([[0.0], [1.0]])
-        sq = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(InvalidInputError, match="exactly symmetric"):
-            train_binary(X, [1.0, -1.0], SvmConfig(), sq)
-
 
 class TestPredictBinary:
     def test_sign_mapping(self):
