@@ -114,11 +114,20 @@ def _experiment_spec(args, dataset, gammas) -> exp.ExperimentSpec:
 
 def _load_model_and_data(args):
     """The model, its JSON document and ``--data`` mapped through the
-    model's stored preprocessing into its feature space."""
+    model's stored preprocessing into its feature space.
+
+    Only the columns of the chain's leading ``select`` entry are read (every
+    column when there is none), so only they must hold finite numbers; a
+    malformed chain is left for :func:`apply_transform_chain` to report."""
     model, payload = load_model(args.model)
     label_column = args.label_column or payload.get("label_column", "label")
-    dataset = load_csv(args.data, label_column)
-    return model, payload, exp.apply_transform_chain(dataset, payload.get("preprocessing", []))
+    chain = payload.get("preprocessing", [])
+    try:
+        names = list(chain[0]["names"]) if chain[0]["kind"] == "select" else None
+    except MALFORMED_ERRORS:
+        names = None
+    dataset = load_csv(args.data, label_column, names)
+    return model, payload, exp.apply_transform_chain(dataset, chain)
 
 
 def _cmd_data_generate(args) -> int:

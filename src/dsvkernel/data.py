@@ -216,10 +216,13 @@ def load_csv(
 ) -> LabeledDataset:
     """Read a header-first CSV with numeric feature cells.
 
-    Row numbers in error messages are 1-based file lines (the header is
-    line 1).  Class labels may be strings or integers; they are recoded to
-    0..L-1 (numeric sort when every label parses as an integer, else
-    lexicographic).
+    Only the label column and ``feature_columns`` (None: every other
+    column) are read, and each feature cell must be a finite number; the
+    first cell that is not raises :class:`DatasetParseError` naming its row
+    and column.  Row numbers in error messages are 1-based file lines (the
+    header is line 1, and blank lines count).  Class labels may be strings
+    or integers; they are recoded to 0..L-1 (numeric sort when every label
+    parses as an integer, else lexicographic).
     """
     path = Path(path)
     raw = path.read_bytes()  # missing file surfaces as FileNotFoundError
@@ -260,11 +263,16 @@ def load_csv(
         for name, idx in zip(feature_columns, feature_idx):
             cell = record[idx]
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DatasetParseError(
                     f"{path}: row {line_no}, column {name!r}: not numeric: {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DatasetParseError(
+                    f"{path}: row {line_no}, column {name!r}: not finite: {value!r}"
+                )
+            values.append(value)
         rows.append(values)
         raw_labels.append(record[label_idx])
     if not rows:

@@ -37,7 +37,6 @@ from .data import (
 )
 from .errors import (
     MALFORMED_ERRORS,
-    DatasetParseError,
     InvalidDimensionError,
     InvalidInputError,
 )
@@ -200,12 +199,7 @@ def build_dataset(dataset_spec: GeneratorSpec | FileSpec, seed: int) -> LabeledD
 
 def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[dict]]:
     """The dataset and the transform chain that replays its file-level steps
-    (feature selection, whole-file standardization and PCA) on the raw CSV.
-
-    A ``nan`` or infinite cell in a loaded column raises
-    :class:`DatasetParseError` naming the first such cell; data rows count
-    from 1 after the header.
-    """
+    (feature selection, whole-file standardization and PCA) on the raw CSV."""
     if isinstance(dataset_spec, GeneratorSpec):
         if dataset_spec.kind == "moons":
             ds = make_moons(dataset_spec.n, dataset_spec.noise_sigma, seed)
@@ -218,13 +212,6 @@ def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[di
         return ds, []
     features = list(dataset_spec.feature_columns) if dataset_spec.feature_columns else None
     ds = load_csv(dataset_spec.path, dataset_spec.label_column, features)
-    bad = np.argwhere(~np.isfinite(ds.features))
-    if len(bad):
-        row, col = bad[0]
-        raise DatasetParseError(
-            f"{dataset_spec.path}: data row {row + 1}, column {ds.feature_names[col]!r}: "
-            f"not finite: {float(ds.features[row, col])!r}"
-        )
     chain = [{"kind": "select", "names": features}] if features else []
     if dataset_spec.pca_components is not None:
         scaler = standardize_fit(ds)

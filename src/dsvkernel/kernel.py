@@ -92,7 +92,11 @@ def kernel_scalar(xp: float, xq: float, gamma: float) -> float:
 
 def kernel_vec(xp: np.ndarray, xq: np.ndarray, gamma: float) -> float:
     """exp(-gamma ||xp - xq||^2); the product over coordinates of squared
-    single-mode overlaps."""
+    single-mode overlaps.
+
+    Computed as :func:`gram` computes an entry (:func:`sq_distances`, then
+    :func:`gaussian`), so it equals the (p, q) entry of the Gram of rows
+    xp and xq bit for bit."""
     xp = np.asarray(xp, dtype=float)
     xq = np.asarray(xq, dtype=float)
     if xp.ndim != 1 or xq.ndim != 1 or xp.shape != xq.shape or len(xp) < 1:
@@ -101,8 +105,7 @@ def kernel_vec(xp: np.ndarray, xq: np.ndarray, gamma: float) -> float:
         )
     if not (np.isfinite(xp).all() and np.isfinite(xq).all()):
         raise InvalidInputError("kernel inputs must be finite")
-    check_gamma(gamma)
-    return math.exp(-gamma * float(np.sum((xp - xq) ** 2)))
+    return gaussian(sq_distances(xp[None, :], xq[None, :]), check_gamma(gamma)).item()
 
 
 def data_fingerprint(data: np.ndarray) -> str:
@@ -167,8 +170,10 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gaussian(sq: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * sq), computed in the buffer of ``sq``."""
-    sq *= -gamma
+    """exp(-gamma * sq), computed in the buffer of ``sq``; a product that
+    overflows to -inf gives exactly 0, without a warning."""
+    with np.errstate(over="ignore"):
+        sq *= -gamma
     return np.exp(sq, out=sq)
 
 

@@ -15,9 +15,10 @@ involved: training is deterministic given the Gram matrix and labels.
 
 Between updates the solver keeps v = -y G (labels times the dual gradient)
 and two penalty vectors that restrict the selections to the index sets I_up
-and I_low, and it builds one curvature row per update, all in buffers
-allocated once per fit; an update rewrites v and two entries of each
-penalty vector.
+and I_low, in buffers allocated once per fit, and one curvature row per
+distinct first index, built the first time that index is picked (at most
+m rows, one m x m array, for m training rows); an update rewrites v and two
+entries of each penalty vector.
 
 Every trained, saved or loaded model is a one-vs-one :class:`MulticlassModel`:
 one binary machine per class pair, predicting by majority vote, so a
@@ -154,10 +155,14 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
     v -= K_i y_i d_i + K_j y_j d_j with d the change in alpha (the same
     values as -y G, since y is +/-1); two penalty vectors, -0.0 on I_up
     (I_low) and -inf (+inf) off it, of which only entries i and j change;
-    and one curvature row a = diag + K_ii - 2 K_i per update, with every
-    entry that is not > 0 set to ``TAU``.  The pair arithmetic runs on
-    Python floats in the same order as in the plain loop, so alpha, bias,
-    flag and history are byte-identical to it.
+    and the curvature row a = diag + K_ii - 2 K_i of every first index i
+    picked so far, with every entry that is not > 0 set to ``TAU``, built
+    the first time i is picked and reused by later updates with the same i.
+    The second index is scored as b |b| / a and falls back to the first
+    index with b > 0 when no score is positive, which picks the j of the
+    masked -b^2/a rule.  ``K`` and ``y`` are only read.  The pair
+    arithmetic runs on Python floats in the same order as in the plain
+    loop, so alpha, bias, flag and history are byte-identical to it.
 
     Returns ``(alpha, bias, converged, objective_history)``; the history has
     the dual objective after every len(y) updates plus the final one.
@@ -180,9 +185,8 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
     low = np.where(y > 0, np.inf, -0.0)
     work = np.empty(m)
     b = np.empty(m)
-    a = np.empty(m)
     step = np.empty(m)
-    off = np.empty(m, dtype=bool)
+    curvature = {}
     history = []
     steps = 0
     while True:
@@ -196,20 +200,22 @@ def solve_dual(K: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: i
             break
         np.subtract(g_max, work, b)
         K_i = K[i]
-        np.add(diag, diag.item(i), a)
-        np.multiply(K_i, 2.0, step)
-        np.subtract(a, step, a)
-        np.greater(a, 0.0, off)
-        np.logical_not(off, off)
-        np.putmask(a, off, TAU)
-        # argmax of b^2/a over b > 0 is argmin of -b^2/a there, first index
-        # on ties; off I_low, b is -inf.
-        np.multiply(b, b, work)
+        a = curvature.get(i)
+        if a is None:
+            a = diag + diag.item(i)
+            a -= 2.0 * K_i
+            a[~(a > 0.0)] = TAU
+            curvature[i] = a
+        # b |b| / a is b^2/a where b > 0 and not positive elsewhere (-inf off
+        # I_low), so a positive maximum is the masked b^2/a's, first index on
+        # ties; when no score is positive, the masked form takes the first
+        # index with b > 0 (index 0 if there is none).
+        np.abs(b, work)
+        np.multiply(b, work, work)
         np.divide(work, a, work)
-        np.greater(b, 0.0, off)
-        np.logical_not(off, off)
-        np.putmask(work, off, -np.inf)
         j = int(work.argmax())
+        if not b.item(j) > 0.0:
+            j = int((b > 0.0).argmax())
 
         yi, yj = labels[i], labels[j]
         ai, aj = alpha.item(i), alpha.item(j)

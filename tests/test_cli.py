@@ -224,8 +224,8 @@ class TestTrainEvaluateBoundary:
         code, stdout, err = run_cli(capsys, "boundary", "--model", str(model_path),
                                     "--data", str(bad_csv), "--out", str(grid_path))
         assert code == 2 and stdout == ""
-        assert "do not give a finite lattice" in err
-        # the --out directory is made only once the lattice is valid
+        assert err == f"dsvkernel: error: {bad_csv}: row 2, column 'x1': not finite: {cell}\n"
+        # the --out directory is made only once the data and lattice are valid
         assert not grid_path.parent.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -242,7 +242,7 @@ class TestTrainEvaluateBoundary:
                                     "species", "--pca", "2", "--gamma", "1", "--out", str(out))
         assert code == 2 and stdout == ""
         # one line, checked before PCA or any other step runs
-        assert err == (f"dsvkernel: error: {bad_csv}: data row 1, column 'sepal_width': "
+        assert err == (f"dsvkernel: error: {bad_csv}: row 2, column 'sepal_width': "
                        f"not finite: {cell}\n")
         assert not out.parent.exists()
 
@@ -264,15 +264,15 @@ class TestTrainEvaluateBoundary:
         code, stdout, err = run_cli(capsys, *command, "--data", str(bad_csv), "--label-column",
                                     "species", "--gamma", "1", "--out", str(out))
         assert code == 2 and stdout == ""
-        assert err == (f"dsvkernel: error: {bad_csv}: data row 3, column 'petal_length': "
+        assert err == (f"dsvkernel: error: {bad_csv}: row 4, column 'petal_length': "
                        f"not finite: {cell}\n")
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_in_a_dropped_column_is_read(self, tmp_path, capsys, iris_csv,
                                                          cell):
-        # evaluate and boundary load the whole file and drop what the model's
-        # chain does not select, so only the selected columns must be finite
+        # evaluate and boundary read only the columns the model's chain
+        # selects, so only they must be finite
         model_path = tmp_path / "model.json"
         code, _, err = run_cli(capsys, "train", "--data", str(iris_csv), "--label-column",
                                "species", "--features", "sepal_width,petal_width",
@@ -287,10 +287,25 @@ class TestTrainEvaluateBoundary:
                                *extra) for csv in (iris_csv, bad_csv)]
             assert outputs[0][0] == 0 and outputs[1] == outputs[0], command
 
+    @pytest.mark.parametrize("cell, problem", [("inf", "not finite: inf"),
+                                               ("zz", "not numeric: 'zz'")])
+    def test_a_bad_cell_after_a_blank_line_names_its_file_line(self, tmp_path, capsys,
+                                                               moons_csv, cell, problem):
+        # both checks count file lines, blank ones included
+        lines = moons_csv.read_text().splitlines()
+        lines[3] = cell + lines[3][lines[3].index(","):]
+        lines.insert(2, "")
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "train", "--data", str(bad_csv), "--gamma", "1",
+                                    "--out", str(tmp_path / "model.json"))
+        assert code == 2 and stdout == ""
+        assert err == f"dsvkernel: error: {bad_csv}: row 5, column 'x1': {problem}\n"
+
     def test_train_with_a_non_finite_test_row_writes_no_model(self, tmp_path, capsys,
                                                               moons_csv):
         # a non-finite cell of a test row is rejected when the file is read,
-        # before the split, and its data row is named
+        # before the split, and its file line is named
         dataset = load_csv(moons_csv, "label")
         _, _, test, _ = exp.prepare(exp.ExperimentSpec(
             dataset=exp.FileSpec(path=str(moons_csv)), gammas=(1.0,), seed=0))
@@ -303,7 +318,7 @@ class TestTrainEvaluateBoundary:
         code, stdout, err = run_cli(capsys, "train", "--data", str(bad_csv), "--gamma", "1",
                                     "--out", str(model_path))
         assert code == 2 and stdout == ""
-        assert err == (f"dsvkernel: error: {bad_csv}: data row {row + 1}, column 'x1': "
+        assert err == (f"dsvkernel: error: {bad_csv}: row {row + 2}, column 'x1': "
                        "not finite: nan\n")
         assert not model_path.parent.exists()
 

@@ -131,6 +131,17 @@ class TestLoadCsv:
         with pytest.raises(DatasetParseError, match="row 7.*'a'"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("cell, shown", [("nan", "nan"), ("Infinity", "inf"),
+                                             ("-inf", "-inf")])
+    def test_non_finite_cell_names_its_file_line(self, tmp_path, cell, shown):
+        # line 3 is blank, so the bad cell is on line 4, the second data row
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,label\n1,2,0\n\n1,{cell},1\n")
+        with pytest.raises(DatasetParseError) as err:
+            load_csv(path, "label")
+        assert str(err.value) == f"{path}: row 4, column 'b': not finite: {shown}"
+        assert load_csv(path, "label", ["a"]).features.tolist() == [[1.0], [1.0]]
+
     def test_malformed_row_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,label\n1,2,0\n1,2\n")

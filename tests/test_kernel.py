@@ -92,6 +92,18 @@ class TestKernelVec:
             kernel_vec(np.zeros(2), np.zeros(3), 1.0)
 
     @given(
+        st.lists(st.tuples(finite_coord, finite_coord), min_size=1, max_size=5),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=300)
+    @example([(0.37, 0.584)], 4.31)
+    def test_bitwise_equal_to_the_gram_entry(self, pairs, gamma):
+        # math.exp gives 0.8208780162869241 on the example, np.exp ...924
+        xp, xq = np.array(pairs).T
+        values = gram(np.vstack([xp, xq]), gamma).values
+        assert kernel_vec(xp, xq, gamma) == values[0, 1] == values[1, 0]
+
+    @given(
         st.lists(finite_coord, min_size=1, max_size=5),
         st.lists(finite_coord, min_size=1, max_size=5),
         st.floats(min_value=0.01, max_value=10.0),
@@ -210,6 +222,14 @@ class TestGram:
             assert np.array_equal(g.values, g.values.T)
             assert np.all(np.diag(g.values) == 1.0)
             assert g.values.min() >= 0.0 and g.values.max() <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_exponent_gives_zero_silently(self):
+        # -gamma * sq overflows to -inf, whose exp is exactly 0
+        data = np.array([[0.0], [1e5]])
+        assert gram(data, 1e300).values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert gram_cross(data, data, 1e300).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert kernel_vec([0.0], [1e5], 1e300) == 0.0
 
     def test_values_match_kernel_vec(self):
         rng = np.random.default_rng(11)

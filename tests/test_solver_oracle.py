@@ -66,6 +66,24 @@ def test_random_instances_match_the_reference(
         assert_same_bytes(K, y, c, tol, max_passes)
 
 
+@pytest.mark.parametrize("linear", [True, False], ids=["linear", "gram"])
+def test_inputs_are_left_unchanged(linear):
+    # cached curvature rows are computed from K, never views of it, so the
+    # TAU written into them for duplicate rows never reaches K
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 2))
+    X = np.vstack([X, X[:4]])
+    y = np.where(np.arange(44) % 3 == 0, 1.0, -1.0)
+    K = X @ X.T if linear else gram(X, 1.0).values
+    assert K.flags.writeable is linear
+    K_bytes, y_bytes = K.tobytes(), y.tobytes()
+    first = solve_dual(K, y, 1.0, 1e-3, 200)
+    assert K.tobytes() == K_bytes and y.tobytes() == y_bytes
+    second = solve_dual(K, y, 1.0, 1e-3, 200)
+    assert first[0].tobytes() == second[0].tobytes()
+    assert repr(first[1:]) == repr(second[1:])
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_labels_of_one_sign_are_rejected(sign):
     # the reference loop reports these as converged with an infinite bias
