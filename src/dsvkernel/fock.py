@@ -9,7 +9,11 @@ amplitude past the cutoff.  The zero-photon detection probability of
     S'(eta) D'(xp) D(xq) S(eta) |0>        (' = conjugate transpose)
 
 computed here is the brute-force reference against which the closed-form
-Gaussian kernel in :mod:`dsvkernel.kernel` is validated.
+Gaussian kernel in :mod:`dsvkernel.kernel` is validated.  It is read as one
+amplitude of state vectors, not from operator products: S|0> comes from the
+even-parity block of the squeeze generator, and both displacements from one
+eigendecomposition of i (a' - a), which are the same truncated operators
+:func:`squeeze` and :func:`displacement` return.
 
 Operator conventions
 --------------------
@@ -86,6 +90,20 @@ def ladder_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``lam`` and eigenvectors ``v`` of the Hermitian ``i m`` for
+    an anti-Hermitian ``m``, so that exp(x m) = V diag(e^{-i x lam}) V' for
+    every real x; validated as :func:`matrix_exp` documents."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidDimensionError(f"matrix_exp needs a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix_exp input contains non-finite entries")
+    if not np.array_equal(m.conj().T, -m):
+        raise InvalidInputError("matrix_exp needs an anti-Hermitian matrix")
+    return np.linalg.eigh(1j * m)
+
+
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """exp(m) of an anti-Hermitian ``m`` (m' = -m), as V diag(e^{-i lam}) V'
     from the eigendecomposition i m = V diag(lam) V' of the Hermitian i m.
@@ -95,15 +113,18 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     InvalidDimensionError; NaN or inf entries and any ``m`` that is not
     exactly anti-Hermitian raise InvalidInputError.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"matrix_exp needs a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInputError("matrix_exp input contains non-finite entries")
-    if not np.array_equal(m.conj().T, -m):
-        raise InvalidInputError("matrix_exp needs an anti-Hermitian matrix")
-    lam, v = np.linalg.eigh(1j * m)
+    lam, v = _spectrum(m)
     return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+def _check_displacement(x: complex, cutoff: int) -> None:
+    """The amplitude check of :func:`displacement`."""
+    if abs(x) ** 2 > cutoff / 4.0:
+        needed = math.ceil(4.0 * abs(x) ** 2)
+        raise CutoffExceededError(
+            f"|x|^2 = {abs(x) ** 2:.4g} exceeds cutoff/4 = {cutoff / 4:.4g}; "
+            f"use a cutoff of at least {needed}"
+        )
 
 
 def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
@@ -116,12 +137,7 @@ def displacement(x: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise InvalidInputError("displacement amplitude must be finite")
-    if abs(x) ** 2 > cutoff / 4.0:
-        needed = math.ceil(4.0 * abs(x) ** 2)
-        raise CutoffExceededError(
-            f"|x|^2 = {abs(x) ** 2:.4g} exceeds cutoff/4 = {cutoff / 4:.4g}; "
-            f"use a cutoff of at least {needed}"
-        )
+    _check_displacement(x, cutoff)
     a, adag = ladder_ops(cutoff)
     return matrix_exp(x * adag - x.conjugate() * a)
 
@@ -153,21 +169,30 @@ def _min_squeeze_cutoff(r: float) -> int:
     return n
 
 
-def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """Squeezing operator S(r, theta) = exp(r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2).
-
-    Rejects magnitudes whose squeezed vacuum would lose more than
-    TAIL_MASS_LIMIT of its mass to truncation at this cutoff.
-    """
+def _check_tail_mass(eta: SqueezeParams, cutoff: int) -> None:
+    """The tail-mass check of :func:`squeeze`."""
     tail = squeezed_vacuum_tail_mass(eta.r, cutoff)
     if tail > TAIL_MASS_LIMIT:
         raise CutoffExceededError(
             f"squeezing r = {eta.r:.4g} leaves {tail:.3g} probability mass above the "
             f"cutoff {cutoff}; use a cutoff of at least {_min_squeeze_cutoff(eta.r)}"
         )
-    a, adag = ladder_ops(cutoff)
+
+
+def _squeeze_generator(eta: SqueezeParams, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
+    """r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2."""
     phase = complex(math.cos(2.0 * eta.theta), math.sin(2.0 * eta.theta))
-    gen = 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
+    return 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
+
+
+def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
+    """Squeezing operator S(r, theta) = exp(r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2).
+
+    Rejects magnitudes whose squeezed vacuum would lose more than
+    TAIL_MASS_LIMIT of its mass to truncation at this cutoff.
+    """
+    _check_tail_mass(eta, cutoff)
+    gen = _squeeze_generator(eta, *ladder_ops(cutoff))
     # a^2 and a'^2 change the photon number by two, so even and odd states
     # never mix; exponentiating each parity block keeps that coupling exactly 0
     s = np.zeros_like(gen)
@@ -182,20 +207,31 @@ def circuit_kernel(
     """Zero-photon detection probability of S^dag D^dag(xp) D(xq) S |0>.
 
     Equals |<xp;eta|xq;eta>|^2, the squared overlap of the two displaced
-    squeezed vacua, and lies in [0, 1].
+    squeezed vacua, and lies in [0, 1]; it is the brute-force reference for
+    the closed form.  The amplitude is read as <S0|psi> with S0 = S|0>, the
+    even-parity block of the squeeze generator exponentiated on |0>, and
+    psi = D^dag(xp) D(xq) S0: D(xq), then D^dag(xp), applied to the state as
+    V diag(e^{-i xq lam}) V' and V diag(e^{+i xp lam}) V' from the one
+    eigendecomposition i (a_dagger - a) = V diag(lam) V'.  These are the
+    truncated operators :func:`squeeze` and :func:`displacement` build,
+    rejected by the same checks in the same order: finite inputs, tail mass,
+    xp, then xq.  Nothing is kept between calls.
     """
     xp = float(xp)
     xq = float(xq)
     if not (math.isfinite(xp) and math.isfinite(xq)):
         raise InvalidInputError("kernel inputs must be finite")
-    s = squeeze(eta, cutoff)
-    dp = displacement(xp, cutoff)
-    dq = displacement(xq, cutoff)
-    psi = np.zeros(cutoff, dtype=complex)
-    psi[0] = 1.0
-    psi = s @ psi
-    psi = dq @ psi
-    psi = dp.conj().T @ psi
-    psi = s.conj().T @ psi
-    prob = float(abs(psi[0]) ** 2)
+    _check_tail_mass(eta, cutoff)
+    a, adag = ladder_ops(cutoff)
+    _check_displacement(xp, cutoff)
+    _check_displacement(xq, cutoff)
+    # only the even block reaches |0>, and only column 0 of its exponential
+    mu, w = _spectrum(_squeeze_generator(eta, a, adag)[::2, ::2])
+    s0 = np.zeros(cutoff, dtype=complex)
+    s0[::2] = w @ (np.exp(-1j * mu) * w[0].conj())
+    lam, v = _spectrum(adag - a)
+    vh = v.conj().T
+    psi = v @ (np.exp(-1j * xq * lam) * (vh @ s0))
+    psi = v @ (np.exp(1j * xp * lam) * (vh @ psi))
+    prob = float(abs(np.vdot(s0, psi)) ** 2)
     return min(1.0, max(0.0, prob))

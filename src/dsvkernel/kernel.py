@@ -155,17 +155,20 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (n x d) as an m x n array.
 
     ``(a[:, k] - b[:, k])^2`` is added over k in order, as scipy's
-    ``sqeuclidean`` distance does, with at most one m x n temporary.
+    ``sqeuclidean`` distance does, with at most one m x n temporary.  A
+    distance that overflows is +inf, without a warning, so :func:`gaussian`
+    gives exactly 0 for it.
     """
     if a.shape[1] == 0:
         return np.zeros((len(a), len(b)))
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    out *= out
-    diff = np.empty_like(out)
-    for k in range(1, a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
-        diff *= diff
-        out += diff
+    with np.errstate(over="ignore"):
+        out = np.subtract.outer(a[:, 0], b[:, 0])
+        out *= out
+        diff = np.empty_like(out)
+        for k in range(1, a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=diff)
+            diff *= diff
+            out += diff
     return out
 
 

@@ -1,15 +1,18 @@
-"""State-vector reference paths for the truncated-basis simulator.
+"""Reference paths for the truncated-basis simulator.
 
-``circuit_kernel`` multiplies matrices onto the vacuum amplitudes directly;
-these helpers build the displaced squeezed vacua as amplitude arrays so the
-tests can check it against an explicit squared overlap.
+``circuit_kernel`` reads one amplitude from state vectors; these helpers
+build the full operators instead (``circuit_kernel_reference``) and the
+displaced squeezed vacua as amplitude arrays, so the tests can check it
+against an operator product and an explicit squared overlap.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from dsvkernel.errors import CutoffExceededError, InvalidDimensionError
+from dsvkernel.errors import CutoffExceededError, InvalidDimensionError, InvalidInputError
 from dsvkernel.fock import DEFAULT_CUTOFF, SqueezeParams, displacement, squeeze
 
 #: Single tolerance used wherever a state norm is asserted.
@@ -43,3 +46,23 @@ def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise InvalidDimensionError(f"cutoff mismatch: {len(a)} != {len(b)}")
     return complex(np.vdot(a, b))
+
+
+def circuit_kernel_reference(
+    xp: float, xq: float, eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF
+) -> float:
+    """|<0| S' D'(xp) D(xq) S |0>|^2 from the four full operators, multiplied
+    onto the vacuum in turn; each operator checks its own parameters."""
+    xp = float(xp)
+    xq = float(xq)
+    if not (math.isfinite(xp) and math.isfinite(xq)):
+        raise InvalidInputError("kernel inputs must be finite")
+    s = squeeze(eta, cutoff)
+    dp = displacement(xp, cutoff)
+    dq = displacement(xq, cutoff)
+    psi = s @ vacuum(cutoff)
+    psi = dq @ psi
+    psi = dp.conj().T @ psi
+    psi = s.conj().T @ psi
+    prob = float(abs(psi[0]) ** 2)
+    return min(1.0, max(0.0, prob))

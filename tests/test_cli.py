@@ -85,8 +85,27 @@ class TestKernelEval:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distance_gives_zero_without_a_warning(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "kernel", "eval", "--xp", "1e200", "--xq=-1e200", "--gamma", "1",
+        )
+        assert (code, err) == (0, "")
+        assert parse_json(stdout)["value"] == 0.0
+
 
 class TestKernelGram:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distance_gives_zero_without_a_warning(self, tmp_path, capsys):
+        data = tmp_path / "far.csv"
+        data.write_text("x,label\n1e200,a\n-1e200,b\n")
+        out = tmp_path / "gram.csv"
+        code, _, err = run_cli(capsys, "kernel", "gram", "--data", str(data),
+                               "--gamma", "1", "--out", str(out))
+        assert (code, err) == (0, "")
+        values = np.loadtxt(out, delimiter=",", comments="#")
+        assert np.array_equal(values, np.eye(2))
+
     def test_writes_gram_csv(self, tmp_path, capsys, iris_csv):
         out = tmp_path / "gram.csv"
         code, stdout, _ = run_cli(

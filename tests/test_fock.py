@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
@@ -20,7 +22,14 @@ from dsvkernel.fock import (
     squeezed_vacuum_tail_mass,
 )
 
-from fock_reference import EPS_NORM, dsv_state, norm, overlap, vacuum
+from fock_reference import (
+    EPS_NORM,
+    circuit_kernel_reference,
+    dsv_state,
+    norm,
+    overlap,
+    vacuum,
+)
 
 
 class TestSqueezeParams:
@@ -337,3 +346,55 @@ class TestCircuitKernel:
         eta = SqueezeParams(0.0, 0.0)
         value = circuit_kernel(0.123, 0.123, eta, 32)
         assert 0.0 <= value <= 1.0
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestCircuitKernelAgainstOperatorProduct:
+    """``circuit_kernel`` against ``circuit_kernel_reference``, which builds
+    the four full operators: the same values and the same errors."""
+
+    @given(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=0.8),
+        st.floats(min_value=0.0, max_value=math.pi, exclude_max=True),
+        st.sampled_from([8, 33, 64, 96]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_value_or_same_error(self, xp, xq, r, theta, cutoff):
+        eta = SqueezeParams(r, theta)
+        new = _outcome(circuit_kernel, xp, xq, eta, cutoff)
+        ref = _outcome(circuit_kernel_reference, xp, xq, eta, cutoff)
+        if isinstance(ref, float):
+            assert isinstance(new, float) and abs(new - ref) <= 1e-12
+        else:
+            assert new == ref
+
+    @pytest.mark.parametrize(
+        "xp, xq, r, cutoff, error",
+        [
+            (math.nan, 0.0, 0.3, 64, InvalidInputError),
+            (0.0, math.inf, 0.3, 64, InvalidInputError),
+            (-math.inf, 3.0, 0.8, 8, InvalidInputError),
+            (0.0, 0.5, 0.8, 8, CutoffExceededError),
+            (2.0, 2.0, 0.8, 33, CutoffExceededError),
+            (1.5, 0.0, 0.2, 8, CutoffExceededError),
+            (0.0, -1.5, 0.2, 8, CutoffExceededError),
+            (1.5, -2.0, 0.2, 8, CutoffExceededError),
+            (1.5, -2.0, 0.0, 1, InvalidDimensionError),
+        ],
+        ids=["nan-xp", "inf-xq", "non-finite-first", "tail-mass", "tail-mass-first",
+             "xp", "xq", "xp-first", "cutoff-1"],
+    )
+    def test_rejections_match(self, xp, xq, r, cutoff, error):
+        eta = SqueezeParams(r, 0.4)
+        ref = _outcome(circuit_kernel_reference, xp, xq, eta, cutoff)
+        assert ref[0] is error
+        assert _outcome(circuit_kernel, xp, xq, eta, cutoff) == ref
