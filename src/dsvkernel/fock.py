@@ -10,10 +10,9 @@ amplitude past the cutoff.  The zero-photon detection probability of
 
 computed here is the brute-force reference against which the closed-form
 Gaussian kernel in :mod:`dsvkernel.kernel` is validated.  It is read as one
-amplitude of state vectors, not from operator products: S|0> comes from the
-even-parity block of the squeeze generator, and both displacements from one
-eigendecomposition of i (a' - a), which are the same truncated operators
-:func:`squeeze` and :func:`displacement` return.
+amplitude of the truncated operators :func:`squeeze` and :func:`displacement`
+return, from the real tridiagonal spectra their generators turn into under
+exact diagonal phases (see :func:`circuit_kernel`).
 
 Operator conventions
 --------------------
@@ -80,28 +79,17 @@ class SqueezeParams:
         object.__setattr__(self, "theta", theta)
 
 
-def ladder_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators (a, a_dagger) at the given cutoff."""
+def _ladder_entries(cutoff: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(cutoff - 1): the entries of a|n> = sqrt(n)|n-1>."""
     if cutoff < 2:
         raise InvalidDimensionError(f"cutoff must be >= 2, got {cutoff}")
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        a[n - 1, n] = math.sqrt(n)
+    return np.sqrt(np.arange(1.0, cutoff))
+
+
+def ladder_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation operators (a, a_dagger) at the given cutoff."""
+    a = np.diag(_ladder_entries(cutoff), 1).astype(complex)
     return a, a.conj().T
-
-
-def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``lam`` and eigenvectors ``v`` of the Hermitian ``i m`` for
-    an anti-Hermitian ``m``, so that exp(x m) = V diag(e^{-i x lam}) V' for
-    every real x; validated as :func:`matrix_exp` documents."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"matrix_exp needs a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInputError("matrix_exp input contains non-finite entries")
-    if not np.array_equal(m.conj().T, -m):
-        raise InvalidInputError("matrix_exp needs an anti-Hermitian matrix")
-    return np.linalg.eigh(1j * m)
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -113,17 +101,27 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     InvalidDimensionError; NaN or inf entries and any ``m`` that is not
     exactly anti-Hermitian raise InvalidInputError.
     """
-    lam, v = _spectrum(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidDimensionError(f"matrix_exp needs a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix_exp input contains non-finite entries")
+    if not np.array_equal(m.conj().T, -m):
+        raise InvalidInputError("matrix_exp needs an anti-Hermitian matrix")
+    lam, v = np.linalg.eigh(1j * m)
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def _check_displacement(x: complex, cutoff: int) -> None:
     """The amplitude check of :func:`displacement`."""
-    if abs(x) ** 2 > cutoff / 4.0:
-        needed = math.ceil(4.0 * abs(x) ** 2)
+    size = math.hypot(x.real, x.imag)
+    size2 = size * size  # inf past |x| of about 1.3e154, where size ** 2 raises
+    if size2 > cutoff / 4.0:
+        needed = 4.0 * size2
+        hint = (f"use a cutoff of at least {math.ceil(needed)}"
+                if math.isfinite(needed) else "no cutoff holds it")
         raise CutoffExceededError(
-            f"|x|^2 = {abs(x) ** 2:.4g} exceeds cutoff/4 = {cutoff / 4:.4g}; "
-            f"use a cutoff of at least {needed}"
+            f"|x|^2 = {size2:.4g} exceeds cutoff/4 = {cutoff / 4:.4g}; {hint}"
         )
 
 
@@ -179,12 +177,6 @@ def _check_tail_mass(eta: SqueezeParams, cutoff: int) -> None:
         )
 
 
-def _squeeze_generator(eta: SqueezeParams, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
-    """r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2."""
-    phase = complex(math.cos(2.0 * eta.theta), math.sin(2.0 * eta.theta))
-    return 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
-
-
 def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Squeezing operator S(r, theta) = exp(r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2).
 
@@ -192,7 +184,9 @@ def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     TAIL_MASS_LIMIT of its mass to truncation at this cutoff.
     """
     _check_tail_mass(eta, cutoff)
-    gen = _squeeze_generator(eta, *ladder_ops(cutoff))
+    a, adag = ladder_ops(cutoff)
+    phase = complex(math.cos(2.0 * eta.theta), math.sin(2.0 * eta.theta))
+    gen = 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
     # a^2 and a'^2 change the photon number by two, so even and odd states
     # never mix; exponentiating each parity block keeps that coupling exactly 0
     s = np.zeros_like(gen)
@@ -208,30 +202,34 @@ def circuit_kernel(
 
     Equals |<xp;eta|xq;eta>|^2, the squared overlap of the two displaced
     squeezed vacua, and lies in [0, 1]; it is the brute-force reference for
-    the closed form.  The amplitude is read as <S0|psi> with S0 = S|0>, the
-    even-parity block of the squeeze generator exponentiated on |0>, and
-    psi = D^dag(xp) D(xq) S0: D(xq), then D^dag(xp), applied to the state as
-    V diag(e^{-i xq lam}) V' and V diag(e^{+i xp lam}) V' from the one
-    eigendecomposition i (a_dagger - a) = V diag(lam) V'.  These are the
-    truncated operators :func:`squeeze` and :func:`displacement` build,
-    rejected by the same checks in the same order: finite inputs, tail mass,
-    xp, then xq.  Nothing is kept between calls.
+    the closed form.  The amplitude <S0| D^dag(xp) D(xq) |S0> of the
+    truncated operators :func:`squeeze` and :func:`displacement` build is
+    read from two real symmetric eigendecompositions.  The squeeze
+    generator's even block (the only one reaching |0>) is P (i T) P^-1 with
+    P = diag((i e^{2i theta})^k) and T tridiagonal with entries
+    (r/2) sqrt(2k (2k-1)), so S0 = S|0> = P W diag(e^{i mu}) W' |0> for
+    T = W diag(mu) W'.  a_dagger - a = U (i X) U^-1 with U = diag((-i)^n) and
+    X = a + a_dagger = V diag(lam) V', and D^dag(xp) D(xq) is exactly
+    exp((xq - xp)(a_dagger - a)), so the amplitude is
+    sum_k |c_k|^2 e^{i (xq - xp) lam_k} with c = V' U^-1 S0.  Rejected by the
+    checks of those operators in the same order: finite inputs, tail mass,
+    cutoff, xp, then xq.  Nothing is kept between calls.
     """
     xp = float(xp)
     xq = float(xq)
     if not (math.isfinite(xp) and math.isfinite(xq)):
         raise InvalidInputError("kernel inputs must be finite")
     _check_tail_mass(eta, cutoff)
-    a, adag = ladder_ops(cutoff)
+    root = _ladder_entries(cutoff)
     _check_displacement(xp, cutoff)
     _check_displacement(xq, cutoff)
-    # only the even block reaches |0>, and only column 0 of its exponential
-    mu, w = _spectrum(_squeeze_generator(eta, a, adag)[::2, ::2])
-    s0 = np.zeros(cutoff, dtype=complex)
-    s0[::2] = w @ (np.exp(-1j * mu) * w[0].conj())
-    lam, v = _spectrum(adag - a)
-    vh = v.conj().T
-    psi = v @ (np.exp(-1j * xq * lam) * (vh @ s0))
-    psi = v @ (np.exp(1j * xp * lam) * (vh @ psi))
-    prob = float(abs(np.vdot(s0, psi)) ** 2)
+    # eigh reads only the lower triangle, so one diagonal stands for T and X
+    n = np.arange(2.0, cutoff, 2.0)
+    mu, w = np.linalg.eigh(np.diag(0.5 * eta.r * np.sqrt(n * (n - 1.0)), -1))
+    lam, v = np.linalg.eigh(np.diag(root, -1))
+    # U^-1 S0 on the even states |2k>, where U^-1 P = diag((-i e^{2i theta})^k)
+    k = np.arange(w.shape[0])
+    phi = np.exp(1j * (2.0 * eta.theta - 0.5 * math.pi) * k) * (w @ (np.exp(1j * mu) * w[0]))
+    amp = np.abs(v[::2].T @ phi) ** 2 @ np.exp(1j * (xq - xp) * lam)
+    prob = float(abs(amp) ** 2)
     return min(1.0, max(0.0, prob))

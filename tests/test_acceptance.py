@@ -20,7 +20,14 @@ from qp_oracle import bias_from_alpha, dual_objective, solve_dual_bruteforce
 
 from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, select_features
-from dsvkernel.fock import SqueezeParams, circuit_kernel, displacement, ladder_ops, squeeze
+from dsvkernel.fock import (
+    SqueezeParams,
+    _min_squeeze_cutoff,
+    circuit_kernel,
+    displacement,
+    ladder_ops,
+    squeeze,
+)
 from dsvkernel.kernel import (
     KernelConfig,
     gamma_from_squeeze,
@@ -67,6 +74,33 @@ def test_criterion_1_closed_form_vs_simulator():
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     _passed(1, f"closed form vs simulator, worst |diff| = {worst:.2e}")
+
+
+def test_criterion_1_every_default_grid_width():
+    """The simulator against ``kernel_scalar`` at every width of
+    ``DEFAULT_GAMMA_GRID``, each at its ``fock._min_squeeze_cutoff(r)``.
+
+    gamma = e^{2r} at theta = 0 and e^{-2r} at theta = pi/2, so each width is
+    realized by r = |ln gamma| / 2 with theta = 0 for gamma >= 1 and pi/2
+    below.  This reaches r = 1.41 (gamma = 0.06, 12.2 dB of squeezing) at
+    cutoff 256, past criterion 1's box of r <= 0.8 at cutoff 64.  It covers
+    |x| <= 1 only; standardized data reach |x| of about 3, which is not yet
+    covered at any width.
+    """
+    started = time.perf_counter()
+    points = (-1.0, -0.3, 0.4, 1.0)
+    worst = 0.0
+    for gamma in exp.DEFAULT_GAMMA_GRID:
+        eta = SqueezeParams(abs(math.log(gamma)) / 2, 0.0 if gamma >= 1.0 else math.pi / 2)
+        cutoff = _min_squeeze_cutoff(eta.r)
+        for xp in points:
+            for xq in points:
+                error = abs(circuit_kernel(xp, xq, eta, cutoff) - kernel_scalar(xp, xq, gamma))
+                assert error <= 1e-6, f"gamma {gamma}, cutoff {cutoff}, ({xp}, {xq}): {error:.2e}"
+                worst = max(worst, error)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30.0, f"took {elapsed:.1f}s"
+    _passed(1, f"every default-grid width, worst |diff| = {worst:.2e}")
 
 
 def test_criterion_2_coherent_reduction():

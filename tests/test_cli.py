@@ -173,6 +173,16 @@ class TestSimulate:
         assert code == 2
         assert "cutoff" in err
 
+    def test_amplitude_whose_square_overflows_exits_2(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "simulate", "overlap", "--xp", "1e200", "--xq", "0", "--r", "0.3",
+        )
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "dsvkernel: error: |x|^2 = inf exceeds cutoff/4 = 16; no cutoff holds it"
+        ]
+
 
 class TestTrainEvaluateBoundary:
     @pytest.fixture()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,18 @@ class TestDisplacement:
         with pytest.raises(CutoffExceededError):
             displacement(5.0, 16)
 
+    @pytest.mark.parametrize("x", [1e154, 1e200, -1e300, complex(1e200, -1e200),
+                                   complex(1.5e308, 1.5e308)],
+                             ids=["four-times-overflows", "square-overflows", "negative",
+                                  "complex", "modulus-overflows"])
+    def test_rejects_amplitude_whose_square_overflows(self, x):
+        # |x|^2 (or 4 |x|^2) past the float range is inf, which no cutoff holds
+        with pytest.raises(CutoffExceededError) as err:
+            displacement(x, 64)
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.endswith("exceeds cutoff/4 = 16; no cutoff holds it")
+
 
 class TestSqueeze:
     def test_zero_is_identity(self):
@@ -347,6 +360,17 @@ class TestCircuitKernel:
         value = circuit_kernel(0.123, 0.123, eta, 32)
         assert 0.0 <= value <= 1.0
 
+    def test_peak_memory_at_cutoff_256(self):
+        eta = SqueezeParams(0.8, 0.3)
+        circuit_kernel(0.2, -0.5, eta, 256)  # first-call set-up stays outside the trace
+        tracemalloc.start()
+        try:
+            circuit_kernel(0.2, -0.5, eta, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
 
 def _outcome(fn, *args):
     """A call's value, or the type and message of the error it raised."""
@@ -365,7 +389,7 @@ class TestCircuitKernelAgainstOperatorProduct:
         st.floats(min_value=-2.0, max_value=2.0),
         st.floats(min_value=0.0, max_value=0.8),
         st.floats(min_value=0.0, max_value=math.pi, exclude_max=True),
-        st.sampled_from([8, 33, 64, 96]),
+        st.sampled_from([2, 3, 8, 33, 64, 96]),
     )
     @settings(max_examples=200, deadline=None)
     def test_same_value_or_same_error(self, xp, xq, r, theta, cutoff):
@@ -376,6 +400,15 @@ class TestCircuitKernelAgainstOperatorProduct:
             assert isinstance(new, float) and abs(new - ref) <= 1e-12
         else:
             assert new == ref
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @pytest.mark.parametrize("r", [0.0, 1e-5])
+    @pytest.mark.parametrize("xp, xq", [(0.0, 0.4), (0.35, -0.3)])
+    def test_smallest_even_blocks(self, xp, xq, r, cutoff):
+        # one and two even states, at an even and an odd cutoff
+        eta = SqueezeParams(r, 0.4)
+        ref = circuit_kernel_reference(xp, xq, eta, cutoff)
+        assert abs(circuit_kernel(xp, xq, eta, cutoff) - ref) <= 1e-12
 
     @pytest.mark.parametrize(
         "xp, xq, r, cutoff, error",
@@ -389,9 +422,12 @@ class TestCircuitKernelAgainstOperatorProduct:
             (0.0, -1.5, 0.2, 8, CutoffExceededError),
             (1.5, -2.0, 0.2, 8, CutoffExceededError),
             (1.5, -2.0, 0.0, 1, InvalidDimensionError),
+            (1e200, 0.0, 0.3, 64, CutoffExceededError),
+            (0.5, -1e300, 0.3, 64, CutoffExceededError),
         ],
         ids=["nan-xp", "inf-xq", "non-finite-first", "tail-mass", "tail-mass-first",
-             "xp", "xq", "xp-first", "cutoff-1"],
+             "xp", "xq", "xp-first", "cutoff-1", "xp-square-overflows",
+             "xq-square-overflows"],
     )
     def test_rejections_match(self, xp, xq, r, cutoff, error):
         eta = SqueezeParams(r, 0.4)
