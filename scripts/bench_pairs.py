@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
-"""Write a ``BENCH_<label>.json`` from the benchmark records of two checkouts.
+"""Run the benchmark in two checkouts and write a ``BENCH_<label>.json``.
 
     python3 scripts/bench_pairs.py --parent PARENT --change CHANGE \\
         --label LABEL --summary TEXT \\
-        [--run [--seeds 1-5] [--seconds 30] [--workloads W1,W2]]
+        [--seeds 1-10] [--seconds 30] [--workloads W1,W2]
 
-PARENT and CHANGE are checkouts in which ``perfbench/run.py`` has run with
-``--trace 0``, one run per (workload, seed), so that each holds
-``.perfbench/records/<workload>-seed<N>-trace0.json``.  With ``--run`` the
-script makes those runs itself first: for each seed in turn, each workload
-in turn (by default every workload of the change's ``BENCHMARK.json``) on
-both sides, the parent first on odd seeds and the change first on even
-ones; the file then covers only those seeds and workloads.  Seeds that only
-one side has are left out.  For every workload and end-to-end metric the file
-holds both sides' per-seed values, their medians and inclusive quartiles,
-and how many seeds the change is better on; it also holds the steal ticks
-and failed operations of every run and each side's machine facts.  Which
-direction is better comes from the change's ``BENCHMARK.json``.  The file
-is written to the current directory.
+The script runs ``perfbench/run.py --trace 0`` once per (seed, workload,
+side): for each seed in turn, each workload in turn (by default every
+workload of the change's ``BENCHMARK.json``) on both sides, the parent first
+on odd seeds and the change first on even ones.  Each run's record,
+``.perfbench/records/<workload>-seed<N>-trace0.json`` in its checkout, is
+read right after the run that wrote it, so the file holds only the values of
+this one interleaved round.  For every workload and end-to-end metric the
+file holds both sides' per-seed values, their medians and inclusive
+quartiles, and how many seeds the change is better on; it also holds the
+steal ticks and failed operations of every run and each side's machine
+facts.  Which direction is better comes from the change's
+``BENCHMARK.json``.  The file is written to the current directory.
 """
 
 from __future__ import annotations
@@ -48,12 +47,16 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_pairs(parent: Path, change: Path, seeds: list[int], seconds: float,
-              workloads: list[str]) -> None:
-    """One untraced ``perfbench/run.py`` run per (seed, workload, side)."""
+              workloads: list[str]) -> dict:
+    """{side: {workload: {seed: record}}} of one untraced ``perfbench/run.py``
+    run per (seed, workload, side), each record read right after its run."""
+    checkouts = dict(zip(SIDES, (parent, change)))
+    runs: dict = {side: {workload: {} for workload in workloads} for side in SIDES}
     for seed in seeds:
-        order = (parent, change) if seed % 2 else (change, parent)
+        order = SIDES if seed % 2 else SIDES[::-1]
         for workload in workloads:
-            for checkout in order:
+            for side in order:
+                checkout = checkouts[side]
                 argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                         "--seconds", f"{seconds:g}", "--trace", "0"]
                 print(f"bench_pairs: {checkout}: {' '.join(argv)}", flush=True)
@@ -61,15 +64,9 @@ def run_pairs(parent: Path, change: Path, seeds: list[int], seconds: float,
                 if code != 0:
                     raise SystemExit(f"bench_pairs: {workload} seed {seed} in {checkout} "
                                      f"exited {code}")
-
-
-def read_records(checkout: Path) -> dict:
-    """{workload: {seed: record}} of the untraced runs of one checkout."""
-    records: dict = {}
-    for path in sorted((checkout / ".perfbench" / "records").glob("*-trace0.json")):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        records.setdefault(record["workload"], {})[record["seed"]] = record
-    return records
+                record = checkout / ".perfbench" / "records" / f"{workload}-seed{seed}-trace0.json"
+                runs[side][workload][seed] = json.loads(record.read_text(encoding="utf-8"))
+    return runs
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -111,46 +108,23 @@ def cpu_model() -> str | None:
     return None
 
 
-def benchmark_workloads(change: Path) -> list[str]:
-    """The workloads of the change's ``BENCHMARK.json``, in its order."""
-    benchmark = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [w["name"] for w in benchmark["workloads"]]
-
-
-def build(parent: Path, change: Path, label: str, summary: str,
-          only_seeds: list[int] | None = None, only_workloads: list[str] | None = None) -> dict:
-    """The BENCH document, optionally restricted to some seeds and workloads."""
-    records = {"parent": read_records(parent), "change": read_records(change)}
-    benchmark = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+def build(runs: dict, better: dict, seconds: float, label: str, summary: str) -> dict:
+    """The BENCH document of the runs :func:`run_pairs` returns; ``better``
+    maps an end-to-end metric to ``"higher"`` or ``"lower"``."""
     workloads = {}
-    all_seeds: set[int] = set()
-    seconds: set[float] = set()
-    for workload in only_workloads or benchmark_workloads(change):
-        runs = {side: records[side].get(workload, {}) for side in SIDES}
-        seeds = set(runs["parent"]) & set(runs["change"])
-        seeds = sorted(seeds & set(only_seeds) if only_seeds else seeds)
-        if not seeds:
-            continue
-        all_seeds.update(seeds)
-        seconds.update(runs[side][s]["seconds"] for side in SIDES for s in seeds)
-        entry = {name: metric_summary(name, seeds, runs, better)
-                 for name in runs["change"][seeds[0]]["metrics"]}
-        entry["steal_ticks"] = {side: {str(s): runs[side][s]["steal_ticks"] for s in seeds}
+    for workload, change_runs in runs["change"].items():
+        seeds = sorted(change_runs)
+        side_runs = {side: runs[side][workload] for side in SIDES}
+        entry = {name: metric_summary(name, seeds, side_runs, better)
+                 for name in change_runs[seeds[0]]["metrics"]}
+        entry["steal_ticks"] = {side: {str(s): side_runs[side][s]["steal_ticks"] for s in seeds}
                                 for side in SIDES}
-        entry["failed_ops"] = {side: sum(runs[side][s]["failed"] for s in seeds)
+        entry["failed_ops"] = {side: sum(side_runs[side][s]["failed"] for s in seeds)
                                for side in SIDES}
         workloads[workload] = entry
-    if not workloads:
-        raise SystemExit("bench_pairs: no workload has untraced records on both sides")
-    if len(seconds) != 1:
-        raise SystemExit(f"bench_pairs: runs of different lengths {sorted(seconds)}")
 
-    def first_machine(side):
-        workload = next(iter(workloads))
-        return records[side][workload][min(records[side][workload])]["machine"]
-
-    seed_list = sorted(all_seeds)
+    first = next(iter(runs["change"]))
+    seed_list = sorted(runs["change"][first])
     seed_text = (f"{seed_list[0]}-{seed_list[-1]}"
                  if seed_list == list(range(seed_list[0], seed_list[-1] + 1))
                  else ", ".join(map(str, seed_list)))
@@ -158,10 +132,10 @@ def build(parent: Path, change: Path, label: str, summary: str,
         "label": label,
         "summary": summary,
         "command": (f"python3 perfbench/run.py --workload W --seed N "
-                    f"--seconds {next(iter(seconds)):g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "protocol": PROTOCOL.format(seeds=seed_text),
         "cpu": cpu_model(),
-        "machine": {side: first_machine(side) for side in SIDES},
+        "machine": {side: runs[side][first][seed_list[0]]["machine"] for side in SIDES},
         "workloads": workloads,
     }
 
@@ -173,22 +147,18 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="change checkout")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--summary", required=True, help="one line on what changed")
-    parser.add_argument("--run", action="store_true",
-                        help="run the benchmark in both checkouts first")
-    parser.add_argument("--seeds", type=parse_seeds, default="1-5",
-                        help="with --run: seeds such as 1-5 or 1,3,5 (default 1-5)")
+    parser.add_argument("--seeds", type=parse_seeds, default="1-10",
+                        help="seeds such as 1-10 or 1,3,5 (default 1-10)")
     parser.add_argument("--seconds", type=float, default=30.0,
-                        help="with --run: seconds per run (default 30)")
+                        help="seconds per run (default 30)")
     parser.add_argument("--workloads", type=lambda text: text.split(","),
-                        help="with --run: comma-separated workloads (default: all)")
+                        help="comma-separated workloads (default: all)")
     args = parser.parse_args(argv)
-    if args.run:
-        workloads = args.workloads or benchmark_workloads(args.change)
-        run_pairs(args.parent, args.change, args.seeds, args.seconds, workloads)
-        bench = build(args.parent, args.change, args.label, args.summary,
-                      args.seeds, workloads)
-    else:
-        bench = build(args.parent, args.change, args.label, args.summary)
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    runs = run_pairs(args.parent, args.change, args.seeds, args.seconds, workloads)
+    bench = build(runs, better, args.seconds, args.label, args.summary)
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(out)

@@ -20,15 +20,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import experiment as exp
-from .data import load_csv, recode_labels, save_csv
+from .data import atomic_write_text, load_csv, recode_labels, save_csv
 from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
 from .fock import DEFAULT_CUTOFF, SqueezeParams
-from .kernel import KernelConfig, gram, kernel_vec, sq_distances
+from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
 from .svm import SvmConfig, accuracy, load_model, save_model
 
 EXIT_OK = 0
@@ -153,19 +154,24 @@ def _cmd_kernel_gram(args) -> int:
     config = _kernel_config(args)
     dataset = exp.build_dataset(_file_spec(args), seed=0)  # a file consumes no seed
     gram_matrix = gram(dataset.features, config.gamma)
+    fingerprint = data_fingerprint(dataset.features)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    gram_matrix.write_csv(out)
+    # two "#" header lines, then one line of repr floats per row, streamed
+    header = f"# gamma={gram_matrix.gamma!r}\n# fingerprint={fingerprint}\n"
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in gram_matrix.values)
+    atomic_write_text(out, chain([header], rows))
     payload = {
         "out": str(out),
         "size": gram_matrix.size,
         "gamma": gram_matrix.gamma,
-        "fingerprint": gram_matrix.data_fingerprint,
+        "fingerprint": fingerprint,
     }
     if args.validate:
         # eigvalsh errs by a small multiple of size * eps * ||K||_2 <= size^2 * eps
         tolerance = gram_matrix.size ** 2 * sys.float_info.epsilon
-        payload["positive_semidefinite"] = gram_matrix.min_eigenvalue() >= -tolerance
+        min_eigenvalue = float(np.linalg.eigvalsh(gram_matrix.values)[0])
+        payload["positive_semidefinite"] = min_eigenvalue >= -tolerance
     _emit(payload)
     return EXIT_OK
 

@@ -31,6 +31,17 @@ on.  It also gives S a period of pi in theta and makes a negative squeezing
 magnitude equivalent to theta -> theta + pi/2, matching the normalization
 performed by :class:`SqueezeParams`.
 
+Against the closed form, at each width of the default sweep grid (r =
+|ln gamma| / 2, theta = 0 for gamma >= 1 and pi/2 below) at the cutoff
+``_min_squeeze_cutoff(r)``, the worst |circuit_kernel - kernel_scalar| over
+the 16 pairs with xp, xq in {-3, -1.7, 0.4, 3} is:
+
+    gamma   cutoff  worst error
+    0.06    256     8.9e-10
+    0.1     128     2.9e-7
+    0.25     64     6.1e-8
+    others  64/128  <= 6.1e-14
+
 Operators and states are plain complex numpy arrays.  Every function is
 pure and each call returns a fresh array, so results are safe to share
 across threads.
@@ -48,6 +59,13 @@ from .errors import CutoffExceededError, InvalidDimensionError, InvalidInputErro
 #: Default basis size; displaced squeezed states with r <= 0.8 and |x| <= 1
 #: carry < 1e-12 of their mass above |63>, and 64x64 exponentials are cheap.
 DEFAULT_CUTOFF = 64
+
+#: Largest cutoff any function here accepts.  On one core with one BLAS
+#: thread a :func:`circuit_kernel` call costs about 0.31 s and a 76 MB peak
+#: RSS at cutoff 1,024 (2.2 s and 234 MB at 2,048); :func:`squeeze` and
+#: :func:`displacement`, which build full N x N operators, take about 0.65 and
+#: 0.78 s at 1,024.  It holds the squeezed vacuum up to r of about 2.35.
+MAX_CUTOFF = 1024
 
 #: Squeezing is rejected when the squeezed vacuum would lose more than this
 #: much probability mass to truncation.
@@ -81,8 +99,8 @@ class SqueezeParams:
 
 def _ladder_entries(cutoff: int) -> np.ndarray:
     """sqrt(1), ..., sqrt(cutoff - 1): the entries of a|n> = sqrt(n)|n-1>."""
-    if cutoff < 2:
-        raise InvalidDimensionError(f"cutoff must be >= 2, got {cutoff}")
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise InvalidDimensionError(f"cutoff must be in [2, {MAX_CUTOFF}], got {cutoff}")
     return np.sqrt(np.arange(1.0, cutoff))
 
 
@@ -119,7 +137,7 @@ def _check_displacement(x: complex, cutoff: int) -> None:
     if size2 > cutoff / 4.0:
         needed = 4.0 * size2
         hint = (f"use a cutoff of at least {math.ceil(needed)}"
-                if math.isfinite(needed) else "no cutoff holds it")
+                if needed <= MAX_CUTOFF else "no cutoff holds it")
         raise CutoffExceededError(
             f"|x|^2 = {size2:.4g} exceeds cutoff/4 = {cutoff / 4:.4g}; {hint}"
         )
@@ -160,9 +178,13 @@ def squeezed_vacuum_tail_mass(r: float, cutoff: int) -> float:
     return max(0.0, 1.0 - total)
 
 
-def _min_squeeze_cutoff(r: float) -> int:
+def _min_squeeze_cutoff(r: float) -> int | None:
+    """The first of DEFAULT_CUTOFF, twice that, ..., MAX_CUTOFF that holds the
+    squeezed vacuum of ``r``; None if none does."""
     n = DEFAULT_CUTOFF
-    while squeezed_vacuum_tail_mass(r, n) > TAIL_MASS_LIMIT and n < 1 << 16:
+    while squeezed_vacuum_tail_mass(r, n) > TAIL_MASS_LIMIT:
+        if n >= MAX_CUTOFF:
+            return None
         n *= 2
     return n
 
@@ -171,9 +193,11 @@ def _check_tail_mass(eta: SqueezeParams, cutoff: int) -> None:
     """The tail-mass check of :func:`squeeze`."""
     tail = squeezed_vacuum_tail_mass(eta.r, cutoff)
     if tail > TAIL_MASS_LIMIT:
+        needed = _min_squeeze_cutoff(eta.r)
+        hint = f"use a cutoff of at least {needed}" if needed else "no cutoff holds it"
         raise CutoffExceededError(
             f"squeezing r = {eta.r:.4g} leaves {tail:.3g} probability mass above the "
-            f"cutoff {cutoff}; use a cutoff of at least {_min_squeeze_cutoff(eta.r)}"
+            f"cutoff {cutoff}; {hint}"
         )
 
 
@@ -181,10 +205,11 @@ def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Squeezing operator S(r, theta) = exp(r (e^{-2i theta} a^2 - e^{2i theta} a_dagger^2) / 2).
 
     Rejects magnitudes whose squeezed vacuum would lose more than
-    TAIL_MASS_LIMIT of its mass to truncation at this cutoff.
+    TAIL_MASS_LIMIT of its mass to truncation at this cutoff.  The cutoff is
+    checked first, so the tail-mass sum never runs past MAX_CUTOFF terms.
     """
-    _check_tail_mass(eta, cutoff)
     a, adag = ladder_ops(cutoff)
+    _check_tail_mass(eta, cutoff)
     phase = complex(math.cos(2.0 * eta.theta), math.sin(2.0 * eta.theta))
     gen = 0.5 * eta.r * (phase.conjugate() * (a @ a) - phase * (adag @ adag))
     # a^2 and a'^2 change the photon number by two, so even and odd states
@@ -212,15 +237,15 @@ def circuit_kernel(
     X = a + a_dagger = V diag(lam) V', and D^dag(xp) D(xq) is exactly
     exp((xq - xp)(a_dagger - a)), so the amplitude is
     sum_k |c_k|^2 e^{i (xq - xp) lam_k} with c = V' U^-1 S0.  Rejected by the
-    checks of those operators in the same order: finite inputs, tail mass,
-    cutoff, xp, then xq.  Nothing is kept between calls.
+    checks of those operators in the same order: finite inputs, cutoff, tail
+    mass, xp, then xq.  Nothing is kept between calls.
     """
     xp = float(xp)
     xq = float(xq)
     if not (math.isfinite(xp) and math.isfinite(xq)):
         raise InvalidInputError("kernel inputs must be finite")
-    _check_tail_mass(eta, cutoff)
     root = _ladder_entries(cutoff)
+    _check_tail_mass(eta, cutoff)
     _check_displacement(xp, cutoff)
     _check_displacement(xq, cutoff)
     # eigh reads only the lower triangle, so one diagonal stands for T and X

@@ -22,11 +22,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .data import atomic_write_text
 from .errors import InvalidDimensionError, InvalidInputError
 from .fock import SqueezeParams
 
@@ -124,21 +122,10 @@ class GramMatrix:
 
     values: np.ndarray
     gamma: float
-    data_fingerprint: str
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
-
-    def write_csv(self, path) -> None:
-        """Two ``#`` header lines, then one line per row of ``repr`` floats,
-        streamed to the atomic writer one row at a time."""
-        header = f"# gamma={self.gamma!r}\n# fingerprint={self.data_fingerprint}\n"
-        rows = (",".join(map(repr, row.tolist())) + "\n" for row in self.values)
-        atomic_write_text(path, chain([header], rows))
 
 
 def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
@@ -204,7 +191,7 @@ def gram(data: np.ndarray, gamma: float, sq: np.ndarray | None = None) -> GramMa
     sq = sq_distances(data, data) if sq is None else sq.copy()
     values = gaussian(sq, gamma)
     values.setflags(write=False)
-    return GramMatrix(values=values, gamma=gamma, data_fingerprint=data_fingerprint(data))
+    return GramMatrix(values=values, gamma=gamma)
 
 
 def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:

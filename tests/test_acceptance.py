@@ -83,21 +83,22 @@ def test_criterion_1_every_default_grid_width():
     gamma = e^{2r} at theta = 0 and e^{-2r} at theta = pi/2, so each width is
     realized by r = |ln gamma| / 2 with theta = 0 for gamma >= 1 and pi/2
     below.  This reaches r = 1.41 (gamma = 0.06, 12.2 dB of squeezing) at
-    cutoff 256, past criterion 1's box of r <= 0.8 at cutoff 64.  It covers
-    |x| <= 1 only; standardized data reach |x| of about 3, which is not yet
-    covered at any width.
+    cutoff 256, past criterion 1's box of r <= 0.8 at cutoff 64.  The points
+    reach |x| = 3, as standardized data do; every cutoff is at least 64, so
+    |x|^2 <= 9 stays within cutoff/4 and no pair is rejected.
     """
     started = time.perf_counter()
-    points = (-1.0, -0.3, 0.4, 1.0)
     worst = 0.0
     for gamma in exp.DEFAULT_GAMMA_GRID:
         eta = SqueezeParams(abs(math.log(gamma)) / 2, 0.0 if gamma >= 1.0 else math.pi / 2)
         cutoff = _min_squeeze_cutoff(eta.r)
-        for xp in points:
-            for xq in points:
-                error = abs(circuit_kernel(xp, xq, eta, cutoff) - kernel_scalar(xp, xq, gamma))
-                assert error <= 1e-6, f"gamma {gamma}, cutoff {cutoff}, ({xp}, {xq}): {error:.2e}"
-                worst = max(worst, error)
+        for points in ((-1.0, -0.3, 0.4, 1.0), (-3.0, -1.7, 0.4, 3.0)):
+            for xp in points:
+                for xq in points:
+                    error = abs(circuit_kernel(xp, xq, eta, cutoff) - kernel_scalar(xp, xq, gamma))
+                    assert error <= 1e-6, (
+                        f"gamma {gamma}, cutoff {cutoff}, ({xp}, {xq}): {error:.2e}")
+                    worst = max(worst, error)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     _passed(1, f"every default-grid width, worst |diff| = {worst:.2e}")
@@ -177,7 +178,7 @@ def test_criterion_4_gram_validity(name):
     g = gram(dataset.features, GRAM_GAMMAS[name])
     assert np.array_equal(g.values, g.values.T)
     assert np.all(np.diag(g.values) == 1.0)
-    min_eig = g.min_eigenvalue()
+    min_eig = float(np.linalg.eigvalsh(g.values)[0])
     assert min_eig >= -1e-8, f"min eigenvalue {min_eig}"
     _passed(4, f"Gram validity on {name}, min eigenvalue {min_eig:.2e}")
 

@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py on two small synthetic records directories."""
+"""scripts/bench_pairs.py on synthetic runs and stub checkouts."""
 
 import importlib.util
 import json
@@ -12,9 +12,9 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _record(workload, seed, ops, rss, machine, failed=0, trace=0):
+def _record(workload, seed, ops, rss, machine, failed=0):
     return {
-        "workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
+        "workload": workload, "seed": seed, "seconds": 30.0, "trace": 0,
         "machine": machine,
         "steal_ticks": {"before": 100 + seed, "after": 101 + seed},
         "metrics": {
@@ -25,46 +25,36 @@ def _record(workload, seed, ops, rss, machine, failed=0, trace=0):
     }
 
 
-def _checkout(root, name, runs, machine):
-    checkout = root / name
-    records = checkout / ".perfbench" / "records"
-    records.mkdir(parents=True)
-    shutil.copy(REPO_ROOT / "BENCHMARK.json", checkout / "BENCHMARK.json")
-    for workload, seed, ops, rss, *failed in runs:
-        record = _record(workload, seed, ops, rss, machine, *failed)
-        (records / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
-    # traced runs are not end-to-end measurements and must be ignored
-    traced = _record("sweep-diabetes", 1, 1.0, 1.0, machine, trace=1)
-    (records / "sweep-diabetes-seed1-trace1.json").write_text(json.dumps(traced))
-    return checkout
+def _runs(workload, values, machine):
+    """{workload: {seed: record}} of one side from (seed, ops, rss[, failed]) tuples."""
+    return {workload: {seed: _record(workload, seed, ops, rss, machine, *failed)
+                       for seed, ops, rss, *failed in values}}
 
 
-@pytest.fixture
-def checkouts(tmp_path):
-    parent = _checkout(tmp_path, "parent", [
-        ("sweep-diabetes", 1, 10.0, 40.0), ("sweep-diabetes", 2, 12.0, 41.0),
-        ("sweep-diabetes", 3, 11.0, 42.0), ("sweep-diabetes", 4, 13.0, 43.0),
-        ("sweep-diabetes", 5, 14.0, 44.0),
-        ("simulate-box", 1, 300.0, 50.0),
-    ], {"nproc": 2, "numpy": "old"})
-    change = _checkout(tmp_path, "change", [
-        ("sweep-diabetes", 1, 20.0, 40.0), ("sweep-diabetes", 2, 11.0, 40.5),
-        ("sweep-diabetes", 3, 30.0, 42.0), ("sweep-diabetes", 4, 25.0, 44.0),
-        ("sweep-diabetes", 5, 15.0, 43.0, 1),
-        ("sweep-diabetes", 6, 99.0, 1.0),  # no parent run: left out
-    ], {"nproc": 2, "numpy": "new"})
-    return parent, change
-
-
-def test_medians_quartiles_and_pairs(checkouts):
-    parent, change = checkouts
-    bench = bench_pairs.build(parent, change, "demo", "a demo")
-    assert list(bench["workloads"]) == ["sweep-diabetes"]  # simulate-box has no change run
+def test_medians_quartiles_and_pairs():
+    runs = {
+        "parent": _runs("sweep-diabetes", [
+            (1, 10.0, 40.0), (2, 12.0, 41.0), (3, 11.0, 42.0), (4, 13.0, 43.0),
+            (5, 14.0, 44.0),
+        ], {"nproc": 2, "numpy": "old"}),
+        "change": _runs("sweep-diabetes", [
+            (1, 20.0, 40.0), (2, 11.0, 40.5), (3, 30.0, 42.0), (4, 25.0, 44.0),
+            (5, 15.0, 43.0, 1),
+        ], {"nproc": 2, "numpy": "new"}),
+    }
+    better = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+    bench = bench_pairs.build(runs, better, 30.0, "demo", "a demo")
+    assert list(bench) == ["label", "summary", "command", "protocol", "cpu", "machine",
+                           "workloads"]
+    assert list(bench["workloads"]) == ["sweep-diabetes"]
     sweep = bench["workloads"]["sweep-diabetes"]
     ops = sweep["ops_per_s"]
+    assert list(ops) == ["unit", "better", "parent", "change", "parent_median",
+                         "change_median", "parent_quartiles", "change_quartiles",
+                         "change_better_pairs"]
     assert ops["unit"] == "1/s" and ops["better"] == "higher"
     assert ops["parent"] == {"1": 10.0, "2": 12.0, "3": 11.0, "4": 13.0, "5": 14.0}
-    assert ops["change"]["5"] == 15.0 and "6" not in ops["change"]
+    assert ops["change"]["5"] == 15.0
     assert ops["parent_median"] == 12.0 and ops["change_median"] == 20.0
     assert ops["parent_quartiles"] == [11.0, 13.0]
     assert ops["change_quartiles"] == [15.0, 25.0]
@@ -78,24 +68,6 @@ def test_medians_quartiles_and_pairs(checkouts):
                                 "change": {"nproc": 2, "numpy": "new"}}
     assert bench["command"].endswith("--seconds 30 --trace 0")
     assert "seeds 1-5;" in bench["protocol"]
-
-
-def test_main_writes_the_labelled_file(checkouts, tmp_path, capsys, monkeypatch):
-    parent, change = checkouts
-    monkeypatch.chdir(tmp_path)
-    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
-                             "--label", "demo", "--summary", "a demo"])
-    assert code == 0
-    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
-    assert written["label"] == "demo" and written["summary"] == "a demo"
-    assert "sweep-diabetes   ops_per_s    12 -> 20 1/s" in capsys.readouterr().out
-
-
-def test_no_common_seed_is_an_error(tmp_path):
-    parent = _checkout(tmp_path, "parent", [("sweep-diabetes", 1, 1.0, 1.0)], {})
-    change = _checkout(tmp_path, "change", [("sweep-diabetes", 2, 1.0, 1.0)], {})
-    with pytest.raises(SystemExit):
-        bench_pairs.build(parent, change, "demo", "a demo")
 
 
 #: A perfbench/run.py that logs its side, workload and seed, then writes the
@@ -120,11 +92,35 @@ record = {{
 """
 
 
-def _stub_checkout(root, name, log, ops, stale=()):
-    checkout = _checkout(root, name, stale, {})
+def _stub_checkout(root, name, log, ops, older=()):
+    """A checkout whose perfbench/run.py is STUB_RUN, holding the records of
+    older (workload, seed, ops, rss) runs."""
+    checkout = root / name
+    records = checkout / ".perfbench" / "records"
+    records.mkdir(parents=True)
+    shutil.copy(REPO_ROOT / "BENCHMARK.json", checkout / "BENCHMARK.json")
+    for workload, seed, old_ops, rss in older:
+        record = _record(workload, seed, old_ops, rss, {"older": True})
+        (records / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
     (checkout / "perfbench").mkdir()
     (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(log=str(log), ops=ops))
     return checkout
+
+
+def test_main_writes_the_labelled_file(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "order.log"
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0)
+    change = _stub_checkout(tmp_path, "change", log, 20.0)
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--label", "demo", "--summary", "a demo",
+                             "--seconds", "3", "--workloads", "sweep-diabetes"])
+    assert code == 0
+    assert len(log.read_text().splitlines()) == 20  # the default seeds 1-10, both sides
+    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert written["label"] == "demo" and written["summary"] == "a demo"
+    assert "seeds 1-10;" in written["protocol"]
+    assert "sweep-diabetes   ops_per_s    15.5 -> 25.5 1/s" in capsys.readouterr().out
 
 
 def test_parse_seeds():
@@ -134,15 +130,12 @@ def test_parse_seeds():
 
 def test_run_interleaves_sides_and_workloads(tmp_path, monkeypatch):
     log = tmp_path / "order.log"
-    # a stale record of a seed and a workload this run leaves out
-    parent = _stub_checkout(tmp_path, "parent", log, 10.0,
-                            stale=[("sweep-diabetes", 9, 1.0, 1.0)])
-    change = _stub_checkout(tmp_path, "change", log, 20.0,
-                            stale=[("simulate-box", 1, 1.0, 1.0)])
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0)
+    change = _stub_checkout(tmp_path, "change", log, 20.0)
     monkeypatch.chdir(tmp_path)
     code = bench_pairs.main([
         "--parent", str(parent), "--change", str(change), "--label", "demo",
-        "--summary", "a demo", "--run", "--seeds", "1-2", "--seconds", "3",
+        "--summary", "a demo", "--seeds", "1-2", "--seconds", "3",
         "--workloads", "sweep-diabetes,boundary-export",
     ])
     assert code == 0
@@ -159,6 +152,34 @@ def test_run_interleaves_sides_and_workloads(tmp_path, monkeypatch):
     assert ops["change"] == {"1": 21.0, "2": 22.0}
     assert written["command"].endswith("--seconds 3 --trace 0")
     assert "seeds 1-2;" in written["protocol"]
+
+
+def test_older_records_of_the_same_runs_are_not_read(tmp_path, monkeypatch):
+    # both checkouts already hold records of every (workload, seed) this round runs
+    log = tmp_path / "order.log"
+    older = [("simulate-box", 1, 1.0, 1.0), ("simulate-box", 2, 2.0, 2.0)]
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0, older)
+    change = _stub_checkout(tmp_path, "change", log, 20.0, older)
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--label", "demo",
+        "--summary", "a demo", "--seeds", "1-2", "--seconds", "3",
+        "--workloads", "simulate-box",
+    ])
+    assert code == 0
+    assert log.read_text().splitlines() == [
+        "parent simulate-box 1 3 0", "change simulate-box 1 3 0",
+        "change simulate-box 2 3 0", "parent simulate-box 2 3 0",
+    ]
+    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    box = written["workloads"]["simulate-box"]
+    assert list(box) == ["ops_per_s", "steal_ticks", "failed_ops"]
+    assert box["ops_per_s"]["parent"] == {"1": 11.0, "2": 12.0}
+    assert box["ops_per_s"]["change"] == {"1": 21.0, "2": 22.0}
+    assert box["steal_ticks"]["parent"] == {"1": {"before": 0, "after": 0},
+                                            "2": {"before": 0, "after": 0}}
+    assert written["machine"] == {"parent": {}, "change": {}}
+    assert written["command"].endswith("--seconds 3 --trace 0")
 
 
 def test_a_failed_run_stops_the_script(tmp_path):

@@ -15,7 +15,8 @@ from dsvkernel import cli
 from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, recode_labels
 from dsvkernel.experiment import apply_transform_chain
-from dsvkernel.kernel import gram
+from dsvkernel.fock import MAX_CUTOFF
+from dsvkernel.kernel import data_fingerprint, gram
 from dsvkernel.svm import load_model, predict_labels
 
 from report_reference import reports_equal_ignoring_timings
@@ -25,6 +26,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gram_csv_text(features: np.ndarray, gamma: float) -> str:
+    """The whole text ``kernel gram`` streams: two header lines, then the rows."""
+    values = gram(features, gamma).values
+    lines = [f"# gamma={gamma!r}", f"# fingerprint={data_fingerprint(features)}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in values]
+    return "\n".join(lines) + "\n"
 
 
 def parse_json(out: str) -> dict:
@@ -106,6 +115,21 @@ class TestKernelGram:
         values = np.loadtxt(out, delimiter=",", comments="#")
         assert np.array_equal(values, np.eye(2))
 
+    def test_csv_is_two_header_lines_then_the_rows(self, tmp_path, capsys):
+        features = np.random.default_rng(3).normal(size=(9, 2))
+        data = tmp_path / "points.csv"
+        rows = (f"{x!r},{y!r},{'ab'[i % 2]}\n" for i, (x, y) in enumerate(features.tolist()))
+        data.write_text("x,y,label\n" + "".join(rows))
+        out = tmp_path / "gram.csv"
+        code, stdout, _ = run_cli(capsys, "kernel", "gram", "--data", str(data),
+                                  "--gamma", "0.7", "--out", str(out))
+        assert code == 0
+        assert parse_json(stdout)["fingerprint"] == data_fingerprint(features)
+        text = out.read_text()
+        assert text.startswith("# gamma=0.7\n# fingerprint=")
+        assert len(text.splitlines()) == 2 + 9
+        assert text == gram_csv_text(features, 0.7)
+
     def test_writes_gram_csv(self, tmp_path, capsys, iris_csv):
         out = tmp_path / "gram.csv"
         code, stdout, _ = run_cli(
@@ -129,10 +153,8 @@ class TestKernelGram:
             "--features", "sepal_width,petal_width", "--gamma", "1", "--out", str(out),
         )
         assert code == 0
-        expected = tmp_path / "expected.csv"
         columns = load_csv(iris_csv, "species", ["sepal_width", "petal_width"]).features
-        gram(columns, 1.0).write_csv(expected)
-        assert out.read_bytes() == expected.read_bytes()
+        assert out.read_text() == gram_csv_text(columns, 1.0)
 
     def test_pca_reduces_the_selected_columns(self, tmp_path, capsys, iris_csv):
         def run(*flags):
@@ -182,6 +204,24 @@ class TestSimulate:
         assert err.splitlines() == [
             "dsvkernel: error: |x|^2 = inf exceeds cutoff/4 = 16; no cutoff holds it"
         ]
+
+    def test_cutoff_above_the_ceiling_exits_2(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "simulate", "overlap", "--xp", "0", "--xq", "1", "--r", "2",
+            "--cutoff", str(MAX_CUTOFF + 1),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            f"dsvkernel: error: cutoff must be in [2, {MAX_CUTOFF}], got {MAX_CUTOFF + 1}"
+        ]
+
+    @pytest.mark.parametrize("flags", [["--xp", "0", "--r", "5"], ["--xp", "20", "--r", "0"]],
+                             ids=["squeeze", "displacement"])
+    def test_no_hint_names_a_cutoff_above_the_ceiling(self, capsys, flags):
+        code, _, err = run_cli(capsys, "simulate", "overlap", "--xq", "0", *flags)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.rstrip().endswith("no cutoff holds it")
 
 
 class TestTrainEvaluateBoundary:

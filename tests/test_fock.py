@@ -14,6 +14,7 @@ from dsvkernel.errors import (
     InvalidInputError,
 )
 from dsvkernel.fock import (
+    MAX_CUTOFF,
     SqueezeParams,
     circuit_kernel,
     displacement,
@@ -84,6 +85,22 @@ class TestLadderOps:
     def test_rejects_small_cutoff(self):
         with pytest.raises(InvalidDimensionError):
             ladder_ops(1)
+
+    @pytest.mark.parametrize("cutoff", [MAX_CUTOFF + 1, 10**12])
+    @pytest.mark.parametrize("build", [
+        ladder_ops,
+        lambda cutoff: squeeze(SqueezeParams(0.3), cutoff),
+        lambda cutoff: displacement(0.5, cutoff),
+        lambda cutoff: circuit_kernel(0.0, 0.5, SqueezeParams(0.3), cutoff),
+    ], ids=["ladder_ops", "squeeze", "displacement", "circuit_kernel"])
+    def test_rejects_a_cutoff_above_the_ceiling(self, build, cutoff):
+        # before any N x N array or O(N) tail-mass sum
+        with pytest.raises(InvalidDimensionError, match=rf"cutoff must be in \[2, {MAX_CUTOFF}\]"):
+            build(cutoff)
+
+    def test_ceiling_is_accepted(self):
+        a, _ = ladder_ops(MAX_CUTOFF)
+        assert a.shape == (MAX_CUTOFF, MAX_CUTOFF)
 
 
 class TestOperatorArrays:
@@ -187,6 +204,15 @@ class TestDisplacement:
         with pytest.raises(CutoffExceededError):
             displacement(5.0, 16)
 
+    @pytest.mark.parametrize("x, hint", [
+        (16.0, "use a cutoff of at least 1024"),
+        (16.01, "no cutoff holds it"),
+    ])
+    def test_hint_names_no_cutoff_above_the_ceiling(self, x, hint):
+        with pytest.raises(CutoffExceededError) as err:
+            displacement(x, 64)
+        assert str(err.value).endswith(f"exceeds cutoff/4 = 16; {hint}")
+
     @pytest.mark.parametrize("x", [1e154, 1e200, -1e300, complex(1e200, -1e200),
                                    complex(1.5e308, 1.5e308)],
                              ids=["four-times-overflows", "square-overflows", "negative",
@@ -258,6 +284,16 @@ class TestSqueeze:
     def test_rejects_overdriven_squeeze(self):
         with pytest.raises(CutoffExceededError):
             squeeze(SqueezeParams(1.5, 0.0), 16)
+
+    @pytest.mark.parametrize("r, hint", [
+        (2.3, "use a cutoff of at least 1024"),
+        (2.4, "no cutoff holds it"),
+        (5.0, "no cutoff holds it"),
+    ])
+    def test_hint_names_no_cutoff_above_the_ceiling(self, r, hint):
+        with pytest.raises(CutoffExceededError) as err:
+            squeeze(SqueezeParams(r, 0.0), 64)
+        assert str(err.value).endswith(f"cutoff 64; {hint}")
 
     def test_tail_mass_decreases_with_cutoff(self):
         masses = [squeezed_vacuum_tail_mass(0.9, n) for n in (16, 32, 64)]
@@ -422,11 +458,12 @@ class TestCircuitKernelAgainstOperatorProduct:
             (0.0, -1.5, 0.2, 8, CutoffExceededError),
             (1.5, -2.0, 0.2, 8, CutoffExceededError),
             (1.5, -2.0, 0.0, 1, InvalidDimensionError),
+            (0.0, 0.5, 0.8, 1, InvalidDimensionError),
             (1e200, 0.0, 0.3, 64, CutoffExceededError),
             (0.5, -1e300, 0.3, 64, CutoffExceededError),
         ],
         ids=["nan-xp", "inf-xq", "non-finite-first", "tail-mass", "tail-mass-first",
-             "xp", "xq", "xp-first", "cutoff-1", "xp-square-overflows",
+             "xp", "xq", "xp-first", "cutoff-1", "cutoff-before-tail-mass", "xp-square-overflows",
              "xq-square-overflows"],
     )
     def test_rejections_match(self, xp, xq, r, cutoff, error):

@@ -206,12 +206,12 @@ class TestGram:
     def test_identical_rows_rank_one(self):
         g = gram(np.array([[0.1, 0.2], [0.1, 0.2]]), 1.0)
         assert_allclose(g.values, np.ones((2, 2)))
-        assert g.min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
 
     def test_random_points_psd(self):
         rng = np.random.default_rng(7)
         g = gram(rng.uniform(-1, 1, size=(50, 2)), 0.8)
-        assert g.min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
 
     def test_exact_symmetry_and_unit_diagonal(self):
         # gram's own guarantees: GramMatrix checks nothing
@@ -246,30 +246,12 @@ class TestGram:
         a = np.array([[1.0, 2.0]])
         b = np.array([[1.0, 2.0000001]])
         assert data_fingerprint(a) != data_fingerprint(b)
-        assert gram(a, 1.0).data_fingerprint == data_fingerprint(a)
+        assert data_fingerprint(a) == data_fingerprint(a.copy())
+        assert data_fingerprint(a) != data_fingerprint(a.T)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             gram(np.array([[np.nan, 0.0]]), 1.0)
-
-    def test_csv_header_and_shape(self, tmp_path):
-        g = gram(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)
-        out = tmp_path / "gram.csv"
-        g.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# gamma=0.5"
-        assert lines[1] == f"# fingerprint={g.data_fingerprint}"
-        assert len(lines) == 2 + 2
-        row = [float(v) for v in lines[2].split(",")]
-        assert_allclose(row, g.values[0])
-
-    def test_streamed_csv_equals_the_whole_text(self, tmp_path):
-        g = gram(np.random.default_rng(3).normal(size=(9, 2)), 0.7)
-        out = tmp_path / "gram.csv"
-        g.write_csv(out)
-        lines = [f"# gamma={g.gamma!r}", f"# fingerprint={g.data_fingerprint}"]
-        lines += [",".join(repr(float(v)) for v in row) for row in g.values]
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.7, 1e3])
     def test_given_distances_give_the_same_bytes_and_stay_unchanged(self, gamma):
