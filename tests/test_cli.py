@@ -115,21 +115,6 @@ class TestKernelGram:
         values = np.loadtxt(out, delimiter=",", comments="#")
         assert np.array_equal(values, np.eye(2))
 
-    def test_csv_is_two_header_lines_then_the_rows(self, tmp_path, capsys):
-        features = np.random.default_rng(3).normal(size=(9, 2))
-        data = tmp_path / "points.csv"
-        rows = (f"{x!r},{y!r},{'ab'[i % 2]}\n" for i, (x, y) in enumerate(features.tolist()))
-        data.write_text("x,y,label\n" + "".join(rows))
-        out = tmp_path / "gram.csv"
-        code, stdout, _ = run_cli(capsys, "kernel", "gram", "--data", str(data),
-                                  "--gamma", "0.7", "--out", str(out))
-        assert code == 0
-        assert parse_json(stdout)["fingerprint"] == data_fingerprint(features)
-        text = out.read_text()
-        assert text.startswith("# gamma=0.7\n# fingerprint=")
-        assert len(text.splitlines()) == 2 + 9
-        assert text == gram_csv_text(features, 0.7)
-
     def test_writes_gram_csv(self, tmp_path, capsys, iris_csv):
         out = tmp_path / "gram.csv"
         code, stdout, _ = run_cli(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from dsvkernel import cli
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.fock import SqueezeParams, circuit_kernel
 from dsvkernel.kernel import (
@@ -21,6 +23,19 @@ from dsvkernel.kernel import (
 )
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def kernel_gram_csv(tmp_path, capsys, features: np.ndarray, gamma: float):
+    """Run ``kernel gram`` on two-column ``features``; return its stdout
+    fingerprint and the text of the CSV it wrote."""
+    data = tmp_path / "points.csv"
+    rows = (f"{x!r},{y!r},{'ab'[i % 2]}\n" for i, (x, y) in enumerate(features.tolist()))
+    data.write_text("x,y,label\n" + "".join(rows))
+    out = tmp_path / "gram.csv"
+    code = cli.main(["kernel", "gram", "--data", str(data), "--gamma", repr(gamma),
+                     "--out", str(out)])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["fingerprint"], out.read_text()
 
 
 class TestGammaFromSqueeze:
@@ -252,6 +267,25 @@ class TestGram:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             gram(np.array([[np.nan, 0.0]]), 1.0)
+
+    def test_csv_header_and_shape(self, tmp_path, capsys):
+        features = np.array([[0.0, 0.0], [1.0, 0.0]])
+        fingerprint, text = kernel_gram_csv(tmp_path, capsys, features, 0.5)
+        lines = text.splitlines()
+        assert lines[0] == "# gamma=0.5"
+        assert lines[1] == f"# fingerprint={fingerprint}"
+        assert fingerprint == data_fingerprint(features)
+        assert len(lines) == 2 + 2
+        row = [float(v) for v in lines[2].split(",")]
+        assert_allclose(row, gram(features, 0.5).values[0])
+
+    def test_streamed_csv_equals_the_whole_text(self, tmp_path, capsys):
+        features = np.random.default_rng(3).normal(size=(9, 2))
+        fingerprint, text = kernel_gram_csv(tmp_path, capsys, features, 0.7)
+        g = gram(features, 0.7)
+        lines = [f"# gamma={g.gamma!r}", f"# fingerprint={fingerprint}"]
+        lines += [",".join(repr(float(v)) for v in row) for row in g.values]
+        assert text == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.7, 1e3])
     def test_given_distances_give_the_same_bytes_and_stay_unchanged(self, gamma):
