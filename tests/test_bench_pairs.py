@@ -129,9 +129,12 @@ def test_parse_seeds():
 
 
 def test_run_interleaves_sides_and_workloads(tmp_path, monkeypatch):
+    # both checkouts already hold records of every (workload, seed) this round runs
     log = tmp_path / "order.log"
-    parent = _stub_checkout(tmp_path, "parent", log, 10.0)
-    change = _stub_checkout(tmp_path, "change", log, 20.0)
+    older = [(workload, seed, 1.0, 1.0) for workload in ("sweep-diabetes", "boundary-export")
+             for seed in (1, 2)]
+    parent = _stub_checkout(tmp_path, "parent", log, 10.0, older)
+    change = _stub_checkout(tmp_path, "change", log, 20.0, older)
     monkeypatch.chdir(tmp_path)
     code = bench_pairs.main([
         "--parent", str(parent), "--change", str(change), "--label", "demo",
@@ -147,39 +150,13 @@ def test_run_interleaves_sides_and_workloads(tmp_path, monkeypatch):
     ]
     written = json.loads((tmp_path / "BENCH_demo.json").read_text())
     assert list(written["workloads"]) == ["sweep-diabetes", "boundary-export"]
-    ops = written["workloads"]["sweep-diabetes"]["ops_per_s"]
-    assert ops["parent"] == {"1": 11.0, "2": 12.0}
-    assert ops["change"] == {"1": 21.0, "2": 22.0}
-    assert written["command"].endswith("--seconds 3 --trace 0")
-    assert "seeds 1-2;" in written["protocol"]
-
-
-def test_older_records_of_the_same_runs_are_not_read(tmp_path, monkeypatch):
-    # both checkouts already hold records of every (workload, seed) this round runs
-    log = tmp_path / "order.log"
-    older = [("simulate-box", 1, 1.0, 1.0), ("simulate-box", 2, 2.0, 2.0)]
-    parent = _stub_checkout(tmp_path, "parent", log, 10.0, older)
-    change = _stub_checkout(tmp_path, "change", log, 20.0, older)
-    monkeypatch.chdir(tmp_path)
-    code = bench_pairs.main([
-        "--parent", str(parent), "--change", str(change), "--label", "demo",
-        "--summary", "a demo", "--seeds", "1-2", "--seconds", "3",
-        "--workloads", "simulate-box",
-    ])
-    assert code == 0
-    assert log.read_text().splitlines() == [
-        "parent simulate-box 1 3 0", "change simulate-box 1 3 0",
-        "change simulate-box 2 3 0", "parent simulate-box 2 3 0",
-    ]
-    written = json.loads((tmp_path / "BENCH_demo.json").read_text())
-    box = written["workloads"]["simulate-box"]
-    assert list(box) == ["ops_per_s", "steal_ticks", "failed_ops"]
-    assert box["ops_per_s"]["parent"] == {"1": 11.0, "2": 12.0}
-    assert box["ops_per_s"]["change"] == {"1": 21.0, "2": 22.0}
-    assert box["steal_ticks"]["parent"] == {"1": {"before": 0, "after": 0},
-                                            "2": {"before": 0, "after": 0}}
+    for workload in written["workloads"].values():
+        assert workload["ops_per_s"]["parent"] == {"1": 11.0, "2": 12.0}
+        assert workload["ops_per_s"]["change"] == {"1": 21.0, "2": 22.0}
+        assert list(workload) == ["ops_per_s", "steal_ticks", "failed_ops"]
     assert written["machine"] == {"parent": {}, "change": {}}
     assert written["command"].endswith("--seconds 3 --trace 0")
+    assert "seeds 1-2;" in written["protocol"]
 
 
 def test_a_failed_run_stops_the_script(tmp_path):

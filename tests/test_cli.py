@@ -16,9 +16,9 @@ from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, recode_labels
 from dsvkernel.experiment import apply_transform_chain
 from dsvkernel.fock import MAX_CUTOFF
-from dsvkernel.kernel import data_fingerprint, gram
 from dsvkernel.svm import load_model, predict_labels
 
+from gram_reference import gram_csv_text
 from report_reference import reports_equal_ignoring_timings
 
 
@@ -26,14 +26,6 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def gram_csv_text(features: np.ndarray, gamma: float) -> str:
-    """The whole text ``kernel gram`` streams: two header lines, then the rows."""
-    values = gram(features, gamma).values
-    lines = [f"# gamma={gamma!r}", f"# fingerprint={data_fingerprint(features)}"]
-    lines += [",".join(repr(float(v)) for v in row) for row in values]
-    return "\n".join(lines) + "\n"
 
 
 def parse_json(out: str) -> dict:
@@ -139,7 +131,7 @@ class TestKernelGram:
         )
         assert code == 0
         columns = load_csv(iris_csv, "species", ["sepal_width", "petal_width"]).features
-        assert out.read_text() == gram_csv_text(columns, 1.0)
+        assert out.read_bytes() == gram_csv_text(columns, 1.0).encode()
 
     def test_pca_reduces_the_selected_columns(self, tmp_path, capsys, iris_csv):
         def run(*flags):

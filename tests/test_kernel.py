@@ -22,12 +22,14 @@ from dsvkernel.kernel import (
     sq_distances,
 )
 
+from gram_reference import gram_csv_text
+
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def kernel_gram_csv(tmp_path, capsys, features: np.ndarray, gamma: float):
     """Run ``kernel gram`` on two-column ``features``; return its stdout
-    fingerprint and the text of the CSV it wrote."""
+    fingerprint and the bytes of the CSV it wrote."""
     data = tmp_path / "points.csv"
     rows = (f"{x!r},{y!r},{'ab'[i % 2]}\n" for i, (x, y) in enumerate(features.tolist()))
     data.write_text("x,y,label\n" + "".join(rows))
@@ -35,7 +37,7 @@ def kernel_gram_csv(tmp_path, capsys, features: np.ndarray, gamma: float):
     code = cli.main(["kernel", "gram", "--data", str(data), "--gamma", repr(gamma),
                      "--out", str(out)])
     assert code == 0
-    return json.loads(capsys.readouterr().out)["fingerprint"], out.read_text()
+    return json.loads(capsys.readouterr().out)["fingerprint"], out.read_bytes()
 
 
 class TestGammaFromSqueeze:
@@ -270,8 +272,8 @@ class TestGram:
 
     def test_csv_header_and_shape(self, tmp_path, capsys):
         features = np.array([[0.0, 0.0], [1.0, 0.0]])
-        fingerprint, text = kernel_gram_csv(tmp_path, capsys, features, 0.5)
-        lines = text.splitlines()
+        fingerprint, csv = kernel_gram_csv(tmp_path, capsys, features, 0.5)
+        lines = csv.decode().splitlines()
         assert lines[0] == "# gamma=0.5"
         assert lines[1] == f"# fingerprint={fingerprint}"
         assert fingerprint == data_fingerprint(features)
@@ -281,11 +283,9 @@ class TestGram:
 
     def test_streamed_csv_equals_the_whole_text(self, tmp_path, capsys):
         features = np.random.default_rng(3).normal(size=(9, 2))
-        fingerprint, text = kernel_gram_csv(tmp_path, capsys, features, 0.7)
-        g = gram(features, 0.7)
-        lines = [f"# gamma={g.gamma!r}", f"# fingerprint={fingerprint}"]
-        lines += [",".join(repr(float(v)) for v in row) for row in g.values]
-        assert text == "\n".join(lines) + "\n"
+        fingerprint, csv = kernel_gram_csv(tmp_path, capsys, features, 0.7)
+        assert fingerprint == data_fingerprint(features)
+        assert csv == gram_csv_text(features, 0.7).encode()
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.7, 1e3])
     def test_given_distances_give_the_same_bytes_and_stay_unchanged(self, gamma):
