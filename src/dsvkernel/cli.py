@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .data import atomic_write_text, load_csv, recode_labels, save_csv
+from .data import atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
 from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
 from .fock import DEFAULT_CUTOFF, SqueezeParams
 from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
@@ -39,8 +38,7 @@ EXIT_IO = 4
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(pretty_json(payload) + "\n")
 
 
 def _parse_vector(text: str) -> np.ndarray:

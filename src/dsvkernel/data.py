@@ -525,6 +525,48 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
         raise
 
 
+def pretty_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    json's indented encoder runs in pure Python.  This walks the dicts and
+    lists itself and hands every scalar, every flat list of ints and floats
+    and every list of such lists (a model's support vectors) to json's C
+    encoder in one call each; the one-line text becomes the indented one by
+    replacing its separators.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+
+    def numbers(value) -> bool:
+        """A non-empty list of ints and floats, bools excluded."""
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and set(map(type, value)) <= {int, float})
+
+    def text(value, indent: str) -> str:
+        inner = indent + "  "
+        if isinstance(value, dict) and value:
+            if not all(isinstance(k, str) for k in value):
+                return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+            items = ",\n".join(f"{inner}{encode(k)}: {text(value[k], inner)}"
+                               for k in sorted(value))
+            return f"{{\n{items}\n{indent}}}"
+        if not (isinstance(value, (list, tuple)) and value):
+            return encode(value)
+        if numbers(value):
+            items = inner + encode(value)[1:-1].replace(", ", ",\n" + inner)
+        elif all(map(numbers, value)):
+            # "[[1, 2], [3, 4]]": every ", " starts a line two levels in, and
+            # each "], [" between rows then closes one row and opens the next
+            deeper = inner + "  "
+            rows = encode(value)[2:-2].replace(", ", ",\n" + deeper)
+            rows = rows.replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+            items = f"{inner}[\n{deeper}{rows}\n{inner}]"
+        else:
+            items = ",\n".join(inner + text(v, inner) for v in value)
+        return f"[\n{items}\n{indent}]"
+
+    return text(obj, "")
+
+
 def save_csv(data: LabeledDataset, path) -> None:
     """Write feature columns then a ``label`` column, plus a sidecar
     ``<stem>.provenance.json`` record."""
@@ -541,5 +583,4 @@ def save_csv(data: LabeledDataset, path) -> None:
         "label_names": list(data.label_names),
         "n_samples": data.n_samples,
     }
-    sidecar = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_text(path.with_suffix(".provenance.json"), sidecar)
+    atomic_write_text(path.with_suffix(".provenance.json"), pretty_json(payload) + "\n")

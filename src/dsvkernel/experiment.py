@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .data import (
     make_spirals,
     pca_fit,
     pca_transform,
+    pretty_json,
     select_features,
     split,
     standardize_apply,
@@ -309,7 +309,7 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, pretty_json(report.to_json_dict()) + "\n")
     for gamma, model in report.models.items():
         save_model(
             out_dir / f"model_gamma_{gamma!r}.json",
@@ -443,7 +443,9 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
 def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
     """The boundary CSV's header, then one string of lines per band."""
     yield "x1,x2,decision_value,label\n"
-    x_reprs = [repr(x) for x in xs.tolist()]
+    nx = len(xs)
+    x_cells = [repr(x) + "," for x in xs.tolist()]
+    endings = {c: f",{c}\n" for c in model.classes}
     for start in range(0, len(ys), BOUNDARY_BAND_ROWS):
         band = ys[start:start + BOUNDARY_BAND_ROWS]
         decisions = []
@@ -454,11 +456,16 @@ def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
         values = np.zeros(len(labels))
         for ((neg, pos), _), d in zip(model.machines, decisions):
             values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
-        points = product([repr(y) for y in band.tolist()], x_reprs)
-        yield "".join(
-            f"{x},{y},{v!r},{lab}\n"
-            for (y, x), v, lab in zip(points, values.tolist(), labels.tolist())
-        )
+        # each line is four cells, "x1," "x2," "value" ",label\n", and the
+        # band is one join over them; only the value is formatted per point
+        width = 4 * nx
+        cells = [""] * (width * len(band))
+        cells[0::4] = x_cells * len(band)
+        for row, y in enumerate(band.tolist()):
+            cells[width * row + 1:width * (row + 1):4] = [repr(y) + ","] * nx
+        cells[2::4] = map(repr, values.tolist())
+        cells[3::4] = map(endings.__getitem__, labels.tolist())
+        yield "".join(cells)
 
 
 def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.ndarray:

@@ -33,9 +33,24 @@ def gamma_from_squeeze(eta: SqueezeParams) -> float:
     """Kernel width gamma such that the squared single-mode overlap equals
     exp(-gamma (xq - xp)^2).
 
-    gamma = cosh 2r + cos 2theta sinh 2r; equals 1 exactly when r = 0.
+    gamma = cosh 2r + cos 2theta sinh 2r = e^2r cos^2 theta + e^-2r sin^2 theta;
+    equals 1 exactly when r = 0.  Where cos 2theta < 0 (widening) the two
+    terms of the first form cancel, so it is summed as e^-2r + 2 cos^2 theta
+    sinh 2r, whose terms are both >= 0.  An r at which either form overflows
+    raises :class:`InvalidInputError`.
     """
-    return math.cosh(2.0 * eta.r) + math.cos(2.0 * eta.theta) * math.sinh(2.0 * eta.r)
+    r, theta = eta.r, eta.theta
+    cos_2theta = math.cos(2.0 * theta)
+    try:
+        if cos_2theta < 0.0:
+            gamma = math.exp(-2.0 * r) + 2.0 * math.cos(theta) ** 2 * math.sinh(2.0 * r)
+        else:
+            gamma = math.cosh(2.0 * r) + cos_2theta * math.sinh(2.0 * r)
+    except OverflowError:
+        gamma = math.inf
+    if gamma == math.inf:
+        raise InvalidInputError(f"squeezing r = {r} overflows the kernel width formula")
+    return gamma
 
 
 def check_gamma(gamma: float) -> float:

@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import atomic_write_text
+from .data import atomic_write_text, pretty_json
 from .errors import (
     MALFORMED_ERRORS,
     DegenerateLabelsError,
@@ -492,7 +492,7 @@ def save_model(path, model: MulticlassModel, extra: dict | None = None) -> None:
     payload = model_to_dict(model)
     if extra:
         payload.update(extra)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, pretty_json(payload) + "\n")
 
 
 def load_model(path) -> tuple[MulticlassModel, dict]:

@@ -86,6 +86,25 @@ class TestKernelEval:
         )
         assert code == 2
 
+    def test_strong_widening_squeeze(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "kernel", "eval", "--xp", "0", "--xq", "1",
+            "--r", "10", "--theta", repr(math.pi / 2),
+        )
+        assert (code, err) == (0, "")
+        assert abs(parse_json(stdout)["gamma"] - math.exp(-20.0)) <= 1e-12 * math.exp(-20.0)
+
+    def test_squeeze_whose_width_overflows_exits_2(self, capsys, tmp_path, iris_csv):
+        for argv in (["kernel", "eval", "--xp", "0", "--xq", "1"],
+                     ["train", "--data", str(iris_csv), "--label-column", "species",
+                      "--out", str(tmp_path / "model.json")]):
+            code, stdout, err = run_cli(capsys, *argv, "--r", "400")
+            assert (code, stdout) == (2, ""), argv
+            assert err.splitlines() == [
+                "dsvkernel: error: squeezing r = 400.0 overflows the kernel width formula"
+            ]
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_distance_gives_zero_without_a_warning(self, capsys):
         code, stdout, err = run_cli(

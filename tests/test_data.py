@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dsvkernel.data import (
@@ -15,6 +18,7 @@ from dsvkernel.data import (
     make_spirals,
     pca_fit,
     pca_transform,
+    pretty_json,
     save_csv,
     select_features,
     split,
@@ -390,3 +394,34 @@ class TestAtomicWriteText:
             atomic_write_text(out, pieces())
         assert out.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+NUMBER = st.one_of(st.integers(-10**20, 10**20), st.floats(allow_nan=True, allow_infinity=True))
+SCALAR = st.one_of(NUMBER, st.booleans(), st.none(), st.text(max_size=8))
+JSON_VALUE = st.recursive(
+    SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.lists(NUMBER, max_size=4), max_size=4),  # a model's support vectors
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestPrettyJson:
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), True, False, None, [], {},
+        "naïve ✓ 😀", {"é": "ü", "a": ["ß", "\u2028"]},
+        [float("nan"), float("inf"), -float("inf"), 0, -0.0, 1e-07, 2**70],
+        [[1.5, float("nan")], [float("-inf"), 3]], [[1], [], [2]], [[True, 1]], [[[1, 2]]],
+        {"b": [], "a": {}, "c": [True, False, None], "d": [[]], "e": {"x": [[1.0, 2.0]]}},
+        {"nested": [{"k": [1, 2]}, [], {}, [[0.5]]]}, (1, 2.5), {2: "int key", 1: [1]},
+    ])
+    def test_equals_json_dumps(self, value):
+        assert pretty_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @given(JSON_VALUE)
+    @settings(max_examples=300)
+    def test_equals_json_dumps_on_any_document(self, value):
+        assert pretty_json(value) == json.dumps(value, indent=2, sort_keys=True)

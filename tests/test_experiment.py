@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dsvkernel import experiment as exp
-from dsvkernel.data import load_csv, make_moons
+from dsvkernel.data import LabeledDataset, load_csv, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
 from dsvkernel.kernel import sq_distances
@@ -239,6 +239,31 @@ def vote_tie_model():
     return model, ((-1.0, 40.0), (-1.0, 40.0))
 
 
+def eleven_class_model():
+    """An 11-class model on three rings of points, with their bounding box:
+    labels 10 and up print two digits."""
+    k = 11
+    angles = 2 * math.pi * np.arange(k) / k
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    features = np.concatenate([ring, ring + (0.15, 0.05), ring + (-0.05, 0.15)])
+    data = LabeledDataset(
+        features=features, labels=np.tile(np.arange(k), 3), feature_names=("x1", "x2"),
+        label_names=tuple(str(c) for c in range(k)), provenance={},
+    )
+    return train_multiclass(data, SvmConfig(kernel=KernelConfig.direct(4.0))), _box(features)
+
+
+def tiny_coefficient_model():
+    """A hand-built 2-class model whose alpha * y are of order 1e-7, so its
+    decision values print in exponent form (``1.2e-07``), with bounds."""
+    machine = SvmModel(
+        support_indices=np.array([0, 1]), dual_coef=np.array([1.2e-7, -1.2e-7]),
+        support_vectors=np.array([[-1.0, 0.0], [1.0, 0.0]]), bias=0.0,
+        kernel=KernelConfig.direct(1.0), converged=True, objective_history=(),
+    )
+    return one_machine(machine), ((-1.0, 1.0), (-1.0, 1.0))
+
+
 @pytest.fixture(scope="module")
 def boundary_models(iris_csv):
     """A 2-class moons model and a 3-class iris model on two features, each
@@ -325,16 +350,20 @@ class TestBoundaryGrid:
                                                      boundary_models):
         # decision values are row-local, so the band height changes no byte:
         # one row, a band that leaves a partial last one, the default, and one
-        # band for the whole lattice
-        cases = {**boundary_models, "vote-tie": vote_tie_model()}
-        expected = {(name, resolution): reference_boundary_csv(model, bounds, resolution)
+        # band for the whole lattice; two-digit labels and decision values in
+        # exponent form are formatted as the per-point reference does
+        cases = {**boundary_models, "vote-tie": vote_tie_model(),
+                 "eleven-classes": eleven_class_model(), "tiny-values": tiny_coefficient_model()}
+        expected = {(name, resolution): reference_boundary_csv(model, bounds, resolution).encode()
                     for name, (model, bounds) in cases.items() for resolution in (41, 77)}
+        assert b",10\n" in expected["eleven-classes", 41]
+        assert b"e-07," in expected["tiny-values", 41]
         for band in (1, 7, 16, 77):
             monkeypatch.setattr(exp, "BOUNDARY_BAND_ROWS", band)
-            for (name, resolution), text in expected.items():
+            for (name, resolution), data in expected.items():
                 model, bounds = cases[name]
                 out = exp.boundary_grid(model, bounds, resolution, tmp_path / "g.csv")
-                assert out.read_text() == text, (name, resolution, band)
+                assert out.read_bytes() == data, (name, resolution, band)
 
     def test_peak_memory_is_a_band_not_the_lattice(self, tmp_path):
         model, bounds = binary_moons_machine(n=300, seed=1)

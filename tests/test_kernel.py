@@ -53,10 +53,22 @@ class TestGammaFromSqueeze:
             gamma_from_squeeze(SqueezeParams(0.3, math.pi / 2)), math.exp(-0.6), rtol=1e-12
         )
 
-    @given(st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=math.pi))
-    @settings(max_examples=100)
+    @given(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.0, max_value=math.pi))
+    @settings(max_examples=300)
+    @example(8.0, math.pi / 2)
+    @example(10.0, math.pi / 2)
     def test_always_positive(self, r, theta):
-        assert gamma_from_squeeze(SqueezeParams(r, theta)) > 0.0
+        # cosh 2r + cos 2theta sinh 2r cancels for cos 2theta < 0; this form
+        # of the same width sums two terms >= 0
+        gamma = gamma_from_squeeze(SqueezeParams(r, theta))
+        assert gamma > 0.0
+        expected = math.exp(2 * r) * math.cos(theta) ** 2 + math.exp(-2 * r) * math.sin(theta) ** 2
+        assert_allclose(gamma, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+    def test_overflow_names_r(self, theta):
+        with pytest.raises(InvalidInputError, match="r = 400.0"):
+            gamma_from_squeeze(SqueezeParams(400.0, theta))
 
 
 class TestKernelScalar:
