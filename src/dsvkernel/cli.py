@@ -27,9 +27,9 @@ import numpy as np
 from . import experiment as exp
 from .data import atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
 from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
-from .fock import DEFAULT_CUTOFF, SqueezeParams
+from .fock import SqueezeParams
 from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
-from .svm import SvmConfig, accuracy, load_model, save_model
+from .svm import accuracy, load_model, save_model
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -48,67 +48,71 @@ def _parse_vector(text: str) -> np.ndarray:
         raise DsvKernelError(f"cannot parse vector from {text!r}") from None
 
 
+def _given(args, *names) -> dict:
+    """The named flags the command line set, by name.  Flags that feed a
+    spec have no default of their own, so an unset one keeps the spec's."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _kernel_config(args) -> KernelConfig:
     if args.gamma is not None and args.r is not None:
         raise DsvKernelError("give either --gamma or --r/--theta, not both")
     if args.gamma is not None:
         return KernelConfig.direct(args.gamma)
     if args.r is not None:
-        return KernelConfig.from_squeeze(SqueezeParams(args.r, args.theta))
+        return KernelConfig.from_squeeze(SqueezeParams(args.r, **_given(args, "theta")))
     raise DsvKernelError("a kernel needs --gamma or --r (with optional --theta)")
 
 
 def _add_kernel_flags(parser) -> None:
-    parser.add_argument("--gamma", type=float, default=None, help="kernel width")
-    parser.add_argument("--r", type=float, default=None, help="squeezing magnitude")
-    parser.add_argument("--theta", type=float, default=0.0, help="squeezing phase (rad)")
+    parser.add_argument("--gamma", type=float, help="kernel width")
+    parser.add_argument("--r", type=float, help="squeezing magnitude")
+    parser.add_argument("--theta", type=float, help="squeezing phase (rad)")
 
 
 def _add_file_dataset_flags(parser, required: bool) -> None:
     parser.add_argument("--data", required=required, help="input CSV")
-    parser.add_argument("--label-column", default="label")
-    parser.add_argument("--features", default=None,
-                        help="comma-separated feature columns (default: all)")
-    parser.add_argument("--pca", type=int, default=None, metavar="K",
+    parser.add_argument("--label-column")
+    parser.add_argument("--features", help="comma-separated feature columns (default: all)")
+    parser.add_argument("--pca", type=int, metavar="K",
                         help="reduce to K principal components before splitting")
 
 
 def _add_generator_flags(parser, required: bool) -> None:
     parser.add_argument("--dataset", required=required, choices=("moons", "circles", "spirals"))
-    parser.add_argument("--n", type=int, default=300)
-    parser.add_argument("--noise-sigma", type=float, default=None,
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--noise-sigma", type=float,
                         help="generator noise (default depends on the dataset)")
-    parser.add_argument("--radius-ratio", type=float, default=exp.GeneratorSpec.radius_ratio)
-    parser.add_argument("--turns", type=float, default=exp.GeneratorSpec.turns)
+    parser.add_argument("--radius-ratio", type=float)
+    parser.add_argument("--turns", type=float)
 
 
 def _add_training_flags(parser) -> None:
-    parser.add_argument("--c", type=float, default=1.0)
-    parser.add_argument("--tol", type=float, default=1e-3)
-    parser.add_argument("--max-passes", type=int, default=200)
-    parser.add_argument("--train-fraction", type=float, default=0.7)
+    parser.add_argument("--c", type=float)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--max-passes", type=int)
+    parser.add_argument("--train-fraction", type=float)
     parser.add_argument("--standardize", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
 
 
 def _generator_spec(args) -> exp.GeneratorSpec:
-    return exp.GeneratorSpec(kind=args.dataset, n=args.n, noise_sigma=args.noise_sigma,
-                             radius_ratio=args.radius_ratio, turns=args.turns)
+    return exp.GeneratorSpec(kind=args.dataset,
+                             **_given(args, "n", "noise_sigma", "radius_ratio", "turns"))
 
 
 def _file_spec(args) -> exp.FileSpec:
     return exp.FileSpec(
         path=args.data,
-        label_column=args.label_column,
         feature_columns=tuple(args.features.split(",")) if args.features else None,
         pca_components=args.pca,
+        **_given(args, "label_column"),
     )
 
 
 def _experiment_spec(args, dataset, gammas) -> exp.ExperimentSpec:
-    return exp.ExperimentSpec(dataset=dataset, gammas=gammas, c=args.c, tol=args.tol,
-                              max_passes=args.max_passes, train_fraction=args.train_fraction,
-                              standardize=args.standardize, seed=args.seed)
+    return exp.ExperimentSpec(dataset=dataset, gammas=gammas, standardize=args.standardize,
+                              **_given(args, "c", "tol", "max_passes", "train_fraction", "seed"))
 
 
 def _load_model_and_data(args):
@@ -130,9 +134,8 @@ def _load_model_and_data(args):
 
 
 def _cmd_data_generate(args) -> int:
-    dataset = exp.build_dataset(_generator_spec(args), args.seed)
+    dataset = exp.build_dataset(_generator_spec(args), **_given(args, "seed"))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     _emit({"out": str(out), "n_samples": dataset.n_samples,
            "provenance": dataset.provenance})
@@ -150,11 +153,10 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_kernel_gram(args) -> int:
     config = _kernel_config(args)
-    dataset = exp.build_dataset(_file_spec(args), seed=0)  # a file consumes no seed
+    dataset = exp.build_dataset(_file_spec(args))  # a file consumes no seed
     gram_matrix = gram(dataset.features, config.gamma)
     fingerprint = data_fingerprint(dataset.features)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     # two "#" header lines, then one line of repr floats per row, streamed
     header = f"# gamma={gram_matrix.gamma!r}\n# fingerprint={fingerprint}\n"
     rows = (",".join(map(repr, row.tolist())) + "\n" for row in gram_matrix.values)
@@ -175,21 +177,20 @@ def _cmd_kernel_gram(args) -> int:
 
 
 def _cmd_simulate_overlap(args) -> int:
-    _emit(exp.simulate_overlap(args.xp, args.xq, args.r, args.theta, args.cutoff))
+    _emit(exp.simulate_overlap(args.xp, args.xq, args.r, **_given(args, "theta", "cutoff")))
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     kernel = _kernel_config(args)
-    config = SvmConfig(c=args.c, tol=args.tol, max_passes=args.max_passes, kernel=kernel)
     spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
+    config = spec.svm_config(kernel)
     _, train_ds, test_ds, replay = exp.prepare(spec)
     sq = sq_distances(train_ds.features, train_ds.features)
     model, train_acc, test_acc = exp.fit_and_score(train_ds, test_ds, config, sq)
     converged = all(m.converged for _, m in model.machines)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(out, model, extra={**replay, "seed": args.seed})
+    save_model(out, model, extra={**replay, "seed": spec.seed})
     _emit({
         "model": str(out),
         "train_acc": train_acc,
@@ -216,11 +217,17 @@ def _cmd_evaluate(args) -> int:
 def _dataset_spec_from_args(args) -> exp.GeneratorSpec | exp.FileSpec:
     if args.dataset is not None and args.data is not None:
         raise DsvKernelError("give either --dataset (generator) or --data (CSV), not both")
+    if args.dataset is None and args.data is None:
+        raise DsvKernelError("a dataset is required: --dataset or --data")
     if args.dataset is not None:
-        return _generator_spec(args)
-    if args.data is not None:
-        return _file_spec(args)
-    raise DsvKernelError("a dataset is required: --dataset or --data")
+        source, other, misplaced = "--dataset", "--data", ("label_column", "features", "pca")
+    else:
+        source, other, misplaced = "--data", "--dataset", ("n", "noise_sigma", "radius_ratio",
+                                                           "turns")
+    flags = ", ".join("--" + name.replace("_", "-") for name in _given(args, *misplaced))
+    if flags:
+        raise DsvKernelError(f"{other} flags given with {source}: {flags}")
+    return _generator_spec(args) if args.dataset is not None else _file_spec(args)
 
 
 def _cmd_sweep(args) -> int:
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_sub = p_data.add_subparsers(dest="subcommand", required=True)
     p_gen = data_sub.add_parser("generate", help="write a synthetic dataset CSV")
     _add_generator_flags(p_gen, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_data_generate)
 
@@ -289,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlap.add_argument("--xp", type=float, required=True)
     p_overlap.add_argument("--xq", type=float, required=True)
     p_overlap.add_argument("--r", type=float, required=True)
-    p_overlap.add_argument("--theta", type=float, default=0.0)
-    p_overlap.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p_overlap.add_argument("--theta", type=float)
+    p_overlap.add_argument("--cutoff", type=int)
     p_overlap.set_defaults(func=_cmd_simulate_overlap)
 
     p_train = sub.add_parser("train", help="train on the 70:30 split of a CSV")
@@ -303,15 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate = sub.add_parser("evaluate", help="accuracy of a saved model on a CSV")
     p_evaluate.add_argument("--model", required=True)
     p_evaluate.add_argument("--data", required=True)
-    p_evaluate.add_argument("--label-column", default=None,
-                            help="defaults to the column stored in the model")
+    p_evaluate.add_argument("--label-column", help="defaults to the column stored in the model")
     p_evaluate.set_defaults(func=_cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="gamma grid search with reports")
     _add_generator_flags(p_sweep, required=False)
     _add_file_dataset_flags(p_sweep, required=False)
-    p_sweep.add_argument("--gamma", type=float, action="append", default=None,
-                         help="repeatable; defaults to a standard grid")
+    p_sweep.add_argument("--gamma", type=float, action="append",
+                         help="repeatable, each value once; defaults to a standard grid")
     _add_training_flags(p_sweep)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boundary.add_argument("--model", required=True)
     p_boundary.add_argument("--data", required=True,
                             help="CSV giving the bounding box (model preprocessing applies)")
-    p_boundary.add_argument("--label-column", default=None)
+    p_boundary.add_argument("--label-column")
     p_boundary.add_argument("--resolution", type=int, default=exp.DEFAULT_BOUNDARY_RESOLUTION)
     p_boundary.add_argument("--out", required=True)
     p_boundary.set_defaults(func=_cmd_boundary)

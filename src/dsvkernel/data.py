@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +318,11 @@ def select_features(data: LabeledDataset, names: list[str]) -> LabeledDataset:
                    provenance={**data.provenance, "selected_features": list(names)})
 
 
+def field_dict(record) -> dict:
+    """A dataclass's field values by name, shallow: nothing is copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class PcaModel:
     """Mean vector plus orthonormal principal directions (rows) with their
@@ -345,19 +350,11 @@ class PcaModel:
             object.__setattr__(self, name, a)
 
     def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "components": [[float(v) for v in row] for row in self.components],
-            "explained_variance": [float(v) for v in self.explained_variance],
-        }
+        return {name: np.asarray(value).tolist() for name, value in field_dict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            components=np.asarray(d["components"], dtype=float),
-            explained_variance=np.asarray(d["explained_variance"], dtype=float),
-        )
+        return cls(**{f.name: np.asarray(d[f.name], dtype=float) for f in fields(cls)})
 
 
 def pca_fit(data: LabeledDataset, k: int) -> PcaModel:
@@ -411,11 +408,7 @@ class ColumnScaler:
     constant_columns: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "scale": [float(v) for v in self.scale],
-            "constant_columns": list(self.constant_columns),
-        }
+        return {name: np.asarray(value).tolist() for name, value in field_dict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnScaler":
@@ -504,7 +497,8 @@ def split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Labele
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
     """Write ``text`` as UTF-8 bytes (no newline translation) to a temporary
     file beside ``path``, then rename it over ``path``: readers see the old
-    file or the whole new one, never a partial write.
+    file or the whole new one, never a partial write.  Missing parent
+    directories are made first.
 
     ``text`` is one string or an iterable of string pieces, written in order
     as they come, so a caller can stream a large file without holding it.
@@ -512,6 +506,7 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     is left as it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     pieces = (text,) if isinstance(text, str) else text
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:

@@ -23,6 +23,7 @@ from .data import (
     PcaModel,
     SplitSpec,
     atomic_write_text,
+    field_dict,
     load_csv,
     make_circles,
     make_moons,
@@ -119,13 +120,8 @@ class FileSpec:
     pca_components: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "source": "file",
-            "path": str(self.path),
-            "label_column": self.label_column,
-            "feature_columns": list(self.feature_columns) if self.feature_columns else None,
-            "pca_components": self.pca_components,
-        }
+        return {**field_dict(self), "source": "file", "path": str(self.path),
+                "feature_columns": list(self.feature_columns) if self.feature_columns else None}
 
 
 @dataclass(frozen=True)
@@ -134,31 +130,28 @@ class ExperimentSpec:
 
     dataset: GeneratorSpec | FileSpec
     gammas: tuple[float, ...]
-    c: float = 1.0
-    tol: float = 1e-3
-    max_passes: int = 200
-    train_fraction: float = 0.7
-    stratified: bool = True
+    c: float = SvmConfig.c
+    tol: float = SvmConfig.tol
+    max_passes: int = SvmConfig.max_passes
+    train_fraction: float = SplitSpec.train_fraction
+    stratified: bool = SplitSpec.stratified
     standardize: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if not self.gammas:
             raise InvalidInputError("gamma list must be non-empty")
-        object.__setattr__(self, "gammas", tuple(check_gamma(g) for g in self.gammas))
+        gammas = tuple(check_gamma(g) for g in self.gammas)
+        if len(set(gammas)) != len(gammas):
+            raise InvalidInputError(f"gamma list repeats a value: {list(gammas)}")
+        object.__setattr__(self, "gammas", gammas)
+
+    def svm_config(self, kernel: KernelConfig) -> SvmConfig:
+        """The solver settings of this spec with the given kernel."""
+        return SvmConfig(c=self.c, tol=self.tol, max_passes=self.max_passes, kernel=kernel)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "gammas": list(self.gammas),
-            "c": self.c,
-            "tol": self.tol,
-            "max_passes": self.max_passes,
-            "train_fraction": self.train_fraction,
-            "stratified": self.stratified,
-            "standardize": self.standardize,
-            "seed": self.seed,
-        }
+        return {**field_dict(self), "dataset": self.dataset.to_dict(), "gammas": list(self.gammas)}
 
     def spec_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -166,33 +159,20 @@ class ExperimentSpec:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    ds = d["dataset"]
-    if ds["source"] == "generator":
+    """The spec whose :meth:`ExperimentSpec.to_dict` is ``d``."""
+    ds = dict(d["dataset"])
+    if ds.pop("source") == "generator":
         # a report records only its kind's shape parameter; the other keeps
         # the GeneratorSpec default
-        shape = {k: ds[k] for k in ("radius_ratio", "turns") if k in ds}
-        dataset = GeneratorSpec(kind=ds["kind"], n=ds["n"], noise_sigma=ds["noise_sigma"], **shape)
+        dataset = GeneratorSpec(**ds)
     else:
-        dataset = FileSpec(
-            path=ds["path"],
-            label_column=ds["label_column"],
-            feature_columns=tuple(ds["feature_columns"]) if ds["feature_columns"] else None,
-            pca_components=ds["pca_components"],
-        )
-    return ExperimentSpec(
-        dataset=dataset,
-        gammas=tuple(d["gammas"]),
-        c=d["c"],
-        tol=d["tol"],
-        max_passes=d["max_passes"],
-        train_fraction=d["train_fraction"],
-        stratified=d["stratified"],
-        standardize=d["standardize"],
-        seed=d["seed"],
-    )
+        columns = ds["feature_columns"]
+        dataset = FileSpec(**{**ds, "feature_columns": tuple(columns) if columns else None})
+    return ExperimentSpec(**{**d, "dataset": dataset})
 
 
-def build_dataset(dataset_spec: GeneratorSpec | FileSpec, seed: int) -> LabeledDataset:
+def build_dataset(dataset_spec: GeneratorSpec | FileSpec,
+                  seed: int = ExperimentSpec.seed) -> LabeledDataset:
     """Materialize a dataset descriptor (generators consume the given seed)."""
     return _dataset_and_chain(dataset_spec, seed)[0]
 
@@ -260,14 +240,10 @@ class ExperimentRow:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "train_acc": self.train_acc,
-            "test_acc": self.test_acc,
-            "n_sv": self.n_sv,
-            "converged": self.converged,
-            "is_baseline": self.is_baseline,
-        }
+        """Every field but ``wall_time_s``, which a report keeps under ``timings``."""
+        d = field_dict(self)
+        del d["wall_time_s"]
+        return d
 
 
 @dataclass(frozen=True)
@@ -307,7 +283,6 @@ class ExperimentReport:
 
 def write_report(report: ExperimentReport, out_dir) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     atomic_write_text(path, pretty_json(report.to_json_dict()) + "\n")
     for gamma, model in report.models.items():
@@ -351,10 +326,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     models = {}
     for gamma in gammas:
         started = time.perf_counter()
-        config = SvmConfig(
-            c=spec.c, tol=spec.tol, max_passes=spec.max_passes,
-            kernel=KernelConfig.direct(gamma),
-        )
+        config = spec.svm_config(KernelConfig.direct(gamma))
         model, train_acc, test_acc = fit_and_score(train_ds, test_ds, config, sq)
         rows.append(
             ExperimentRow(
@@ -418,8 +390,8 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
     The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
     x2 values at a time, streamed to the atomic writer, so memory grows with
     ``resolution`` rather than its square; values are row-local, so the bytes
-    are the same at any band size and BLAS thread count.  The parent directory
-    of ``out_path`` is made only after validation.
+    are the same at any band size and BLAS thread count.  Nothing is written,
+    and no directory made, before validation.
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
@@ -435,7 +407,6 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
     xs = np.linspace(ends[0], ends[1], resolution)
     ys = np.linspace(ends[2], ends[3], resolution)
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, _boundary_lines(model, xs, ys))
     return out_path
 
@@ -504,7 +475,8 @@ def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> Labeled
 
 
 def simulate_overlap(
-    xp: float, xq: float, r: float, theta: float, cutoff: int = DEFAULT_CUTOFF
+    xp: float, xq: float, r: float, theta: float = SqueezeParams.theta,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> dict:
     """Detection probability from the truncated simulator next to the closed
     form, with their absolute difference; the user-facing oracle window."""

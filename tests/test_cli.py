@@ -841,6 +841,34 @@ class TestSweepCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--dataset", "moons", "--label-column", "species"],
+        ["--dataset", "moons", "--features", "x1"],
+        ["--dataset", "moons", "--pca", "1"],
+        ["--data", "IRIS", "--n", "40"],
+        ["--data", "IRIS", "--noise-sigma", "0.1"],
+        ["--data", "IRIS", "--radius-ratio", "0.3"],
+        ["--data", "IRIS", "--turns", "5"],
+    ], ids=lambda flag: flag[2])
+    def test_a_flag_of_the_other_source_exits_2(self, tmp_path, capsys, iris_csv, flag):
+        argv = [str(iris_csv) if a == "IRIS" else a for a in flag]
+        out_dir = tmp_path / "sweep"
+        code, stdout, err = run_cli(capsys, "sweep", *argv, "--gamma", "1.5",
+                                    "--out", str(out_dir))
+        assert code == 2 and stdout == ""
+        other = "--data" if flag[0] == "--dataset" else "--dataset"
+        assert err == f"dsvkernel: error: {other} flags given with {flag[0]}: {flag[2]}\n"
+        assert not out_dir.exists()
+
+    def test_repeated_gamma_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code, stdout, err = run_cli(capsys, "sweep", "--dataset", "moons", "--n", "60",
+                                    "--gamma", "1", "--gamma", "0.5", "--gamma", "1.0",
+                                    "--out", str(out_dir))
+        assert code == 2 and stdout == ""
+        assert err == "dsvkernel: error: gamma list repeats a value: [1.0, 0.5, 1.0]\n"
+        assert not out_dir.exists()
+
 
 #: Runs CLI commands in a fresh interpreter in which ``import scipy`` fails.
 NO_SCIPY_SCRIPT = """

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from dsvkernel.data import (
     SPIRAL_RADIUS_PER_TURN,
+    ColumnScaler,
     LabeledDataset,
+    PcaModel,
     SplitSpec,
     atomic_write_text,
     load_csv,
@@ -261,6 +264,12 @@ class TestPca:
         projected = pca_transform(pca_fit(data, 2), data)
         assert projected.feature_names == ("pc1", "pc2")
 
+    def test_dict_round_trip_is_bitwise(self, iris_csv):
+        model = pca_fit(load_csv(iris_csv, "species"), 3)
+        again = PcaModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        for name in ("mean", "components", "explained_variance"):
+            assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
+
 
 class TestStandardize:
     def test_fixed_point(self):
@@ -300,6 +309,17 @@ class TestStandardize:
         out = standardize_apply(scaler, test)
         # train mean 1, std 1 -> 4 maps to 3; test statistics never enter
         assert_allclose(out.features, [[3.0]])
+
+    def test_dict_round_trip_is_bitwise(self, iris_csv):
+        data = load_csv(iris_csv, "species")
+        feats = np.column_stack([data.features, np.full(data.n_samples, 0.1)])
+        scaler = standardize_fit(replace(data, features=feats,
+                                         feature_names=(*data.feature_names, "constant")))
+        assert scaler.constant_columns == (4,)
+        again = ColumnScaler.from_dict(json.loads(json.dumps(scaler.to_dict())))
+        assert again.mean.tobytes() == scaler.mean.tobytes()
+        assert again.scale.tobytes() == scaler.scale.tobytes()
+        assert again.constant_columns == scaler.constant_columns
 
 
 class TestSplit:
@@ -394,6 +414,12 @@ class TestAtomicWriteText:
             atomic_write_text(out, pieces())
         assert out.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "f.txt"
+        atomic_write_text(out, "text\n")
+        assert out.read_bytes() == b"text\n"
+        assert [p.name for p in out.parent.iterdir()] == ["f.txt"]
 
 
 NUMBER = st.one_of(st.integers(-10**20, 10**20), st.floats(allow_nan=True, allow_infinity=True))

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dsvkernel import experiment as exp
-from dsvkernel.data import LabeledDataset, load_csv, make_moons
+from dsvkernel.data import LabeledDataset, SplitSpec, load_csv, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
 from dsvkernel.kernel import sq_distances
@@ -45,10 +45,53 @@ class TestSpec:
         assert a.spec_hash() != _moons_spec(seed=1).spec_hash()
 
     def test_roundtrip_through_dict(self):
-        spec = _moons_spec(standardize=True)
-        again = exp.spec_from_dict(spec.to_dict())
-        assert again == spec
-        assert again.spec_hash() == spec.spec_hash()
+        datasets = [
+            exp.GeneratorSpec("moons", n=80),
+            exp.GeneratorSpec("circles", n=60, noise_sigma=0.2, radius_ratio=0.3),
+            exp.GeneratorSpec("spirals", n=40, noise_sigma=0.0, turns=1.25),
+            exp.FileSpec(path="data/iris.csv", label_column="species",
+                         feature_columns=("sepal_width", "petal_width", "petal_length"),
+                         pca_components=2),
+        ]
+        for dataset in datasets:
+            spec = _moons_spec(dataset=dataset, c=2.5, max_passes=50, train_fraction=0.6,
+                               stratified=False, standardize=True, seed=9)
+            again = exp.spec_from_dict(json.loads(json.dumps(spec.to_dict())))
+            assert again == spec
+            assert again.spec_hash() == spec.spec_hash()
+
+    def test_spec_hash_is_pinned(self):
+        """The hashes of one generator spec and one file spec: a key added to,
+        dropped from or renamed in ``to_dict``, or a value written in another
+        form, changes them and the ``spec_hash`` of every report."""
+        generator = exp.ExperimentSpec(
+            dataset=exp.GeneratorSpec("spirals", n=120, noise_sigma=0.3, turns=1.5),
+            gammas=(0.25, 2.5), c=3.0, tol=1e-4, max_passes=50, train_fraction=0.6,
+            stratified=False, standardize=True, seed=7,
+        )
+        file = exp.ExperimentSpec(
+            dataset=exp.FileSpec(path="data/iris.csv", label_column="species",
+                                 feature_columns=("sepal_width", "petal_width", "petal_length"),
+                                 pca_components=2),
+            gammas=(0.5,), standardize=True, seed=3,
+        )
+        assert generator.spec_hash() == (
+            "1cf7ba8a5eab89883582eccd172b5c90ce3c60b1ca7c4fea0e57f9450cf03360")
+        assert file.spec_hash() == (
+            "0877a3e9dfa1b37fc4f9c41e0f3410eea72943493ade8be3f0685d4be505ca8a")
+
+    def test_defaults_are_the_solver_and_split_defaults(self):
+        spec = exp.ExperimentSpec(dataset=exp.GeneratorSpec("moons"), gammas=(1.5,))
+        kernel = KernelConfig.direct(1.5)
+        assert spec.svm_config(kernel) == SvmConfig(kernel=kernel)
+        default_split = SplitSpec()
+        assert (spec.train_fraction, spec.stratified) == (default_split.train_fraction,
+                                                          default_split.stratified)
+
+    @pytest.mark.parametrize("gammas", [(1.5, 1.5), (1, 0.5, 1.0)])
+    def test_repeated_gamma_rejected(self, gammas):
+        with pytest.raises(InvalidInputError, match="repeats"):
+            exp.ExperimentSpec(dataset=exp.GeneratorSpec("moons"), gammas=gammas)
 
     def test_file_spec_roundtrip(self, iris_csv):
         spec = exp.ExperimentSpec(
