@@ -59,6 +59,11 @@ def commands() -> list[tuple[str, list[str]]]:
                                           "--r", "1.5"]),
         ("data-generate-moons", ["data", "generate", "--dataset", "moons", "--n", "300",
                                  "--seed", "1", "--out", "moons.csv"]),
+        ("data-generate-circles", ["data", "generate", "--dataset", "circles", "--n", "200",
+                                   "--radius-ratio", "0.3", "--noise-sigma", "0.05",
+                                   "--seed", "2", "--out", "circles.csv"]),
+        ("data-generate-spirals", ["data", "generate", "--dataset", "spirals", "--n", "200",
+                                   "--turns", "1.5", "--seed", "3", "--out", "spirals.csv"]),
     ]
     # evaluate and boundary read the label column from the model file
     for name, flags in TRAIN_FLAGS.items():
@@ -107,6 +112,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("sweep-diabetes", ["sweep", *diabetes, "--seed", "7", "--out", "sweep-diabetes"]),
         ("sweep-spirals", ["sweep", "--dataset", "spirals", "--n", "200", "--seed", "1",
                            "--out", "sweep-spirals"]),
+        ("sweep-circles", ["sweep", "--dataset", "circles", "--n", "120", "--radius-ratio",
+                           "0.4", "--seed", "2", "--out", "sweep-circles"]),
     ]
     return cmds
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .data import atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
+from .data import LABEL_COLUMN, atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
 from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
 from .fock import SqueezeParams
 from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
+
+GENERATOR_FLAGS = ("n", "noise_sigma", "radius_ratio", "turns")  # GeneratorSpec's settings
 
 
 def _emit(payload: dict) -> None:
@@ -52,6 +54,13 @@ def _given(args, *names) -> dict:
     """The named flags the command line set, by name.  Flags that feed a
     spec have no default of their own, so an unset one keeps the spec's."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _refuse_flags(args, names, message: str) -> None:
+    """Exit 2 with ``message`` and the flags among ``names`` the command line set."""
+    flags = ", ".join("--" + name.replace("_", "-") for name in _given(args, *names))
+    if flags:
+        raise DsvKernelError(message + flags)
 
 
 def _kernel_config(args) -> KernelConfig:
@@ -79,7 +88,7 @@ def _add_file_dataset_flags(parser, required: bool) -> None:
 
 
 def _add_generator_flags(parser, required: bool) -> None:
-    parser.add_argument("--dataset", required=required, choices=("moons", "circles", "spirals"))
+    parser.add_argument("--dataset", required=required, choices=tuple(exp.GENERATORS))
     parser.add_argument("--n", type=int)
     parser.add_argument("--noise-sigma", type=float,
                         help="generator noise (default depends on the dataset)")
@@ -97,8 +106,10 @@ def _add_training_flags(parser) -> None:
 
 
 def _generator_spec(args) -> exp.GeneratorSpec:
-    return exp.GeneratorSpec(kind=args.dataset,
-                             **_given(args, "n", "noise_sigma", "radius_ratio", "turns"))
+    spec = exp.GeneratorSpec(kind=args.dataset, **_given(args, *GENERATOR_FLAGS))
+    other = [name for name in GENERATOR_FLAGS if name not in ("n", "noise_sigma", *spec.shape())]
+    _refuse_flags(args, other, f"--dataset {spec.kind} takes no ")
+    return spec
 
 
 def _file_spec(args) -> exp.FileSpec:
@@ -123,7 +134,7 @@ def _load_model_and_data(args):
     column when there is none), so only they must hold finite numbers; a
     malformed chain is left for :func:`apply_transform_chain` to report."""
     model, payload = load_model(args.model)
-    label_column = args.label_column or payload.get("label_column", "label")
+    label_column = args.label_column or payload.get("label_column", LABEL_COLUMN)
     chain = payload.get("preprocessing", [])
     try:
         names = list(chain[0]["names"]) if chain[0]["kind"] == "select" else None
@@ -222,11 +233,8 @@ def _dataset_spec_from_args(args) -> exp.GeneratorSpec | exp.FileSpec:
     if args.dataset is not None:
         source, other, misplaced = "--dataset", "--data", ("label_column", "features", "pca")
     else:
-        source, other, misplaced = "--data", "--dataset", ("n", "noise_sigma", "radius_ratio",
-                                                           "turns")
-    flags = ", ".join("--" + name.replace("_", "-") for name in _given(args, *misplaced))
-    if flags:
-        raise DsvKernelError(f"{other} flags given with {source}: {flags}")
+        source, other, misplaced = "--data", "--dataset", GENERATOR_FLAGS
+    _refuse_flags(args, misplaced, f"{other} flags given with {source}: ")
     return _generator_spec(args) if args.dataset is not None else _file_spec(args)
 
 

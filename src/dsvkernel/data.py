@@ -34,6 +34,9 @@ STREAM_CIRCLES = 2
 STREAM_SPIRALS = 3
 STREAM_SPLIT = 4
 
+#: The label column of every CSV that :func:`save_csv` writes.
+LABEL_COLUMN = "label"
+
 #: Columns whose standard deviation falls at or below this relative floor are
 #: treated as constant: flagged and passed through unscaled.
 CONSTANT_COLUMN_STD = 1e-12
@@ -568,7 +571,7 @@ def save_csv(data: LabeledDataset, path) -> None:
     path = Path(path)
     table = io.StringIO()
     writer = csv.writer(table)
-    writer.writerow(list(data.feature_names) + ["label"])
+    writer.writerow(list(data.feature_names) + [LABEL_COLUMN])
     for row, label in zip(data.features, data.labels):
         writer.writerow([repr(float(v)) for v in row] + [data.label_names[label]])
     atomic_write_text(path, table.getvalue())

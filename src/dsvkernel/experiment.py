@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data
 from .data import (
     ColumnScaler,
     LabeledDataset,
@@ -25,9 +26,6 @@ from .data import (
     atomic_write_text,
     field_dict,
     load_csv,
-    make_circles,
-    make_moons,
-    make_spirals,
     pca_fit,
     pca_transform,
     pretty_json,
@@ -76,7 +74,10 @@ BOUNDARY_PADDING = 0.10
 #: it bounds the export's working memory and does not change its bytes.
 BOUNDARY_BAND_ROWS = 16
 
-DEFAULT_NOISE_SIGMA = {"moons": 0.15, "circles": 0.08, "spirals": 0.5}
+#: Generator kind -> (default noise_sigma, its GeneratorSpec shape fields).  Kind
+#: ``k`` is ``data.make_k``, looked up per call so that a wrapper put there sees it.
+GENERATORS = {"moons": (0.15, ()), "circles": (0.08, ("radius_ratio",)),
+              "spirals": (0.5, ("turns",))}
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,18 @@ class GeneratorSpec:
     turns: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_NOISE_SIGMA:
+        if self.kind not in GENERATORS:
             raise InvalidInputError(f"unknown generator kind: {self.kind!r}")
         if self.noise_sigma is None:
-            object.__setattr__(self, "noise_sigma", DEFAULT_NOISE_SIGMA[self.kind])
+            object.__setattr__(self, "noise_sigma", GENERATORS[self.kind][0])
+
+    def shape(self) -> dict:
+        """The shape fields this kind takes, by name."""
+        return {name: getattr(self, name) for name in GENERATORS[self.kind][1]}
 
     def to_dict(self) -> dict:
-        d = {"source": "generator", "kind": self.kind, "n": self.n,
-             "noise_sigma": self.noise_sigma}
-        if self.kind == "circles":
-            d["radius_ratio"] = self.radius_ratio
-        if self.kind == "spirals":
-            d["turns"] = self.turns
-        return d
+        return {"source": "generator", "kind": self.kind, "n": self.n,
+                "noise_sigma": self.noise_sigma, **self.shape()}
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class FileSpec:
     """
 
     path: str
-    label_column: str = "label"
+    label_column: str = data.LABEL_COLUMN
     feature_columns: tuple[str, ...] | None = None
     pca_components: int | None = None
 
@@ -162,8 +162,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     """The spec whose :meth:`ExperimentSpec.to_dict` is ``d``."""
     ds = dict(d["dataset"])
     if ds.pop("source") == "generator":
-        # a report records only its kind's shape parameter; the other keeps
-        # the GeneratorSpec default
+        # a report holds only its kind's shape fields; the rest keep their defaults
         dataset = GeneratorSpec(**ds)
     else:
         columns = ds["feature_columns"]
@@ -181,15 +180,9 @@ def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[di
     """The dataset and the transform chain that replays its file-level steps
     (feature selection, whole-file standardization and PCA) on the raw CSV."""
     if isinstance(dataset_spec, GeneratorSpec):
-        if dataset_spec.kind == "moons":
-            ds = make_moons(dataset_spec.n, dataset_spec.noise_sigma, seed)
-        elif dataset_spec.kind == "circles":
-            ds = make_circles(
-                dataset_spec.n, dataset_spec.radius_ratio, dataset_spec.noise_sigma, seed
-            )
-        else:
-            ds = make_spirals(dataset_spec.n, dataset_spec.turns, dataset_spec.noise_sigma, seed)
-        return ds, []
+        make = getattr(data, f"make_{dataset_spec.kind}")
+        return make(n=dataset_spec.n, noise_sigma=dataset_spec.noise_sigma, seed=seed,
+                    **dataset_spec.shape()), []
     features = list(dataset_spec.feature_columns) if dataset_spec.feature_columns else None
     ds = load_csv(dataset_spec.path, dataset_spec.label_column, features)
     chain = [{"kind": "select", "names": features}] if features else []
@@ -222,8 +215,7 @@ def prepare(spec: ExperimentSpec):
         chain.append({"kind": "standardize", "scaler": scaler.to_dict()})
     replay = {
         "preprocessing": chain,
-        "label_column": (spec.dataset.label_column
-                         if isinstance(spec.dataset, FileSpec) else "label"),
+        "label_column": getattr(spec.dataset, "label_column", data.LABEL_COLUMN),
         "label_names": list(dataset.label_names),
     }
     return dataset, train_ds, test_ds, replay

@@ -47,6 +47,23 @@ class TestDataGenerate:
         data = load_csv(out, "label")
         assert data.n_samples == 60
 
+    @pytest.mark.parametrize("command", [["data", "generate"], ["sweep"]], ids="-".join)
+    @pytest.mark.parametrize("dataset, flag, other", [
+        ("moons", ["--radius-ratio", "0.3"], "--radius-ratio"),
+        ("moons", ["--turns", "3"], "--turns"),
+        ("moons", ["--turns", "3", "--radius-ratio", "0.9"], "--radius-ratio, --turns"),
+        ("circles", ["--turns", "3"], "--turns"),
+        ("spirals", ["--radius-ratio", "0.3"], "--radius-ratio"),
+    ], ids=["moons-ratio", "moons-turns", "moons-both", "circles-turns", "spirals-ratio"])
+    def test_a_shape_flag_of_another_kind_exits_2(self, tmp_path, capsys, command, dataset,
+                                                  flag, other):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *command, "--dataset", dataset,
+                                    "--n", "40", *flag, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"dsvkernel: error: --dataset {dataset} takes no {other}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "data", "generate", "--dataset", "moons", "--n", "61",

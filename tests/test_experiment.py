@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dsvkernel import experiment as exp
-from dsvkernel.data import LabeledDataset, SplitSpec, load_csv, make_moons
+from dsvkernel.data import LabeledDataset, SplitSpec, load_csv, make_circles, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
 from dsvkernel.kernel import sq_distances
@@ -79,6 +79,33 @@ class TestSpec:
             "1cf7ba8a5eab89883582eccd172b5c90ce3c60b1ca7c4fea0e57f9450cf03360")
         assert file.spec_hash() == (
             "0877a3e9dfa1b37fc4f9c41e0f3410eea72943493ade8be3f0685d4be505ca8a")
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("moons", {}), ("circles", {"radius_ratio": 0.3}), ("spirals", {"turns": 1.25}),
+    ])
+    def test_shape_is_the_kinds_own_fields(self, kind, shape):
+        spec = exp.GeneratorSpec(kind, radius_ratio=0.3, turns=1.25)
+        assert spec.shape() == shape
+        assert spec.to_dict() == {"source": "generator", "kind": kind, "n": 300,
+                                  "noise_sigma": exp.GENERATORS[kind][0], **shape}
+
+    def test_generator_is_looked_up_on_the_data_module_per_call(self, monkeypatch):
+        """A wrapper installed on ``data.make_circles`` (as the benchmark's
+        tracer installs one) sees the call ``build_dataset`` makes."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return make_circles(*args, **kwargs)
+
+        monkeypatch.setattr("dsvkernel.data.make_circles", recording)
+        dataset = exp.build_dataset(exp.GeneratorSpec("circles", n=20), 1)
+        assert calls == [{"n": 20, "noise_sigma": 0.08, "seed": 1, "radius_ratio": 0.5}]
+        assert dataset.provenance["generator"] == "circles"
+
+    def test_unknown_generator_kind_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown generator kind"):
+            exp.GeneratorSpec("blobs")
 
     def test_defaults_are_the_solver_and_split_defaults(self):
         spec = exp.ExperimentSpec(dataset=exp.GeneratorSpec("moons"), gammas=(1.5,))

@@ -105,9 +105,10 @@ def test_the_parent_runs_at_one_blas_thread_and_the_change_at_two(tmp_path, monk
 
 def test_default_command_list_is_fixed():
     names = [name for name, _ in same_output.commands()]
-    assert len(names) == len(set(names)) == 126
+    assert len(names) == len(set(names)) == 129
     assert {"data-generate-moons", "train-iris-1", "evaluate-diabetes-4",
             "boundary-moons-2-300", "gram-iris-validate", "sweep-diabetes",
             "sweep-spirals", "train-moons-tol-1", "boundary-non-finite",
             "train-pca-non-finite", "train-standardize-non-finite", "evaluate-nan-bias",
-            "boundary-nan-bias"} <= set(names)
+            "boundary-nan-bias", "data-generate-circles", "data-generate-spirals",
+            "sweep-circles"} <= set(names)
