@@ -11,8 +11,8 @@ deterministic given the training rows.
 carries the transform chain and label coding that ``evaluate`` and
 ``boundary`` replay on a raw CSV.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
-4 I/O failure.
+Exit codes: 0 success, 4 I/O failure, and for a package error the
+``exit_code`` of its class: 2 invalid input, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -26,15 +26,18 @@ import numpy as np
 
 from . import experiment as exp
 from .data import LABEL_COLUMN, atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
-from .errors import MALFORMED_ERRORS, DsvKernelError, InvalidInputError, NonConvergenceError
+from .errors import (
+    MALFORMED_ERRORS,
+    DsvKernelError,
+    InvalidDimensionError,
+    InvalidInputError,
+    NonConvergenceError,
+)
 from .fock import SqueezeParams
 from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
 from .svm import accuracy, load_model, save_model
 
-EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_NONCONVERGED = 3
-EXIT_IO = 4
+EXIT_IO = 4  # an OSError; each package error carries its own exit_code
 
 GENERATOR_FLAGS = ("n", "noise_sigma", "radius_ratio", "turns")  # GeneratorSpec's settings
 
@@ -128,7 +131,7 @@ def _experiment_spec(args, dataset, gammas) -> exp.ExperimentSpec:
 
 def _load_model_and_data(args):
     """The model, its JSON document and ``--data`` mapped through the
-    model's stored preprocessing into its feature space.
+    model's stored preprocessing into its feature space, as wide as the model.
 
     Only the columns of the chain's leading ``select`` entry are read (every
     column when there is none), so only they must hold finite numbers; a
@@ -140,29 +143,31 @@ def _load_model_and_data(args):
         names = list(chain[0]["names"]) if chain[0]["kind"] == "select" else None
     except MALFORMED_ERRORS:
         names = None
-    dataset = load_csv(args.data, label_column, names)
-    return model, payload, exp.apply_transform_chain(dataset, chain)
+    dataset = exp.apply_transform_chain(load_csv(args.data, label_column, names), chain)
+    width = model.machines[0][1].support_vectors.shape[1]
+    if dataset.n_features != width:
+        raise InvalidDimensionError(
+            f"feature dimensions differ: train {width}, test {dataset.n_features}")
+    return model, payload, dataset
 
 
-def _cmd_data_generate(args) -> int:
+def _cmd_data_generate(args) -> None:
     dataset = exp.build_dataset(_generator_spec(args), **_given(args, "seed"))
     out = Path(args.out)
     save_csv(dataset, out)
     _emit({"out": str(out), "n_samples": dataset.n_samples,
            "provenance": dataset.provenance})
-    return EXIT_OK
 
 
-def _cmd_kernel_eval(args) -> int:
+def _cmd_kernel_eval(args) -> None:
     config = _kernel_config(args)
     xp = _parse_vector(args.xp)
     xq = _parse_vector(args.xq)
     value = kernel_vec(xp, xq, config.gamma)
     _emit({"xp": list(xp), "xq": list(xq), "gamma": config.gamma, "value": value})
-    return EXIT_OK
 
 
-def _cmd_kernel_gram(args) -> int:
+def _cmd_kernel_gram(args) -> None:
     config = _kernel_config(args)
     dataset = exp.build_dataset(_file_spec(args))  # a file consumes no seed
     gram_matrix = gram(dataset.features, config.gamma)
@@ -184,15 +189,13 @@ def _cmd_kernel_gram(args) -> int:
         min_eigenvalue = float(np.linalg.eigvalsh(gram_matrix.values)[0])
         payload["positive_semidefinite"] = min_eigenvalue >= -tolerance
     _emit(payload)
-    return EXIT_OK
 
 
-def _cmd_simulate_overlap(args) -> int:
+def _cmd_simulate_overlap(args) -> None:
     _emit(exp.simulate_overlap(args.xp, args.xq, args.r, **_given(args, "theta", "cutoff")))
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     kernel = _kernel_config(args)
     spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
     config = spec.svm_config(kernel)
@@ -211,10 +214,9 @@ def _cmd_train(args) -> int:
     })
     if not converged:
         raise NonConvergenceError("training did not reach its tolerance; model saved anyway")
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     model, payload, dataset = _load_model_and_data(args)
     if payload.get("label_names") is not None:
         try:
@@ -222,7 +224,6 @@ def _cmd_evaluate(args) -> int:
         except MALFORMED_ERRORS as err:
             raise InvalidInputError(f"malformed label_names: {type(err).__name__}: {err}") from None
     _emit({"accuracy": accuracy(model, dataset), "n_samples": dataset.n_samples})
-    return EXIT_OK
 
 
 def _dataset_spec_from_args(args) -> exp.GeneratorSpec | exp.FileSpec:
@@ -238,31 +239,25 @@ def _dataset_spec_from_args(args) -> exp.GeneratorSpec | exp.FileSpec:
     return _generator_spec(args) if args.dataset is not None else _file_spec(args)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     gammas = tuple(args.gamma) if args.gamma else exp.DEFAULT_GAMMA_GRID
     spec = _experiment_spec(args, _dataset_spec_from_args(args), gammas)
     report = exp.sweep(spec, spec.gammas, out_dir=args.out)
-    doc = report.to_json_dict()
     _emit({
         "out": str(Path(args.out) / "report.json"),
         "selected_gamma": report.selected_gamma,
-        "rows": doc["rows"],
+        "rows": [r.to_dict() for r in report.rows],
     })
     if not all(r.converged for r in report.rows):
         raise NonConvergenceError("at least one training run did not converge")
-    return EXIT_OK
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> None:
     model, _, dataset = _load_model_and_data(args)
-    bounds = (
-        (float(dataset.features[:, 0].min()), float(dataset.features[:, 0].max())),
-        (float(dataset.features[:, 1].min()), float(dataset.features[:, 1].max())),
-    )
+    bounds = tuple((float(c.min()), float(c.max())) for c in dataset.features.T)
     out = Path(args.out)
     exp.boundary_grid(model, bounds, args.resolution, out)
     _emit({"out": str(out), "resolution": args.resolution, "bounds": bounds})
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,16 +341,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NonConvergenceError as err:
-        print(f"dsvkernel: non-convergence: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGED
+        args.func(args)
     except DsvKernelError as err:
-        print(f"dsvkernel: error: {err}", file=sys.stderr)
+        print(f"dsvkernel: {err.label}: {err}", file=sys.stderr)
         return err.exit_code
     except OSError as err:
         print(f"dsvkernel: i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    return 0
 
 
 def entrypoint() -> None:

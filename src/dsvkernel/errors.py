@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Every error raised on a validated code path derives from DsvKernelError so
-the CLI can map failures to stable exit codes.
+Every error raised on a validated code path derives from DsvKernelError; the
+CLI exits with its class's ``exit_code`` after one stderr line led by ``label``.
 """
 
 
@@ -13,6 +13,7 @@ class DsvKernelError(Exception):
     """Base class for all package errors."""
 
     exit_code = 2
+    label = "error"
 
 
 class InvalidInputError(DsvKernelError):
@@ -41,3 +42,4 @@ class NonConvergenceError(DsvKernelError):
     """Optimization stopped before reaching its tolerance."""
 
     exit_code = 3
+    label = "non-convergence"

@@ -243,7 +243,7 @@ class ExperimentReport:
     spec: ExperimentSpec
     rows: tuple[ExperimentRow, ...]
     dataset_provenance: dict
-    selected_gamma: float | None = None
+    selected_gamma: float
     models: dict = field(default_factory=dict, repr=False)
     #: model-file fields from :func:`prepare`, written into every model file
     replay: dict = field(default_factory=dict, repr=False)
@@ -256,7 +256,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         baseline = self.baseline_row()
-        doc = {
+        return {
             "version": REPORT_FORMAT_VERSION,
             "spec_hash": self.spec.spec_hash(),
             "seed": self.spec.seed,
@@ -267,10 +267,8 @@ class ExperimentReport:
                 repr(r.gamma): r.test_acc - baseline.test_acc for r in self.rows
             },
             "timings": {repr(r.gamma): r.wall_time_s for r in self.rows},
+            "selected_gamma": self.selected_gamma,
         }
-        if self.selected_gamma is not None:
-            doc["selected_gamma"] = self.selected_gamma
-        return doc
 
 
 def write_report(report: ExperimentReport, out_dir) -> Path:
@@ -300,10 +298,12 @@ def fit_and_score(train_ds: LabeledDataset, test_ds: LabeledDataset, config: Svm
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
-    """Split, optionally standardize, and train/evaluate one SVM per gamma.
+    """Split, optionally standardize, train/evaluate one SVM per gamma and
+    select one (:func:`select_gamma`); write the report to ``out_dir`` if given.
 
     A gamma = 1.0 baseline row is always present (appended when missing from
-    the spec) and flagged ``is_baseline``.  The training rows' squared
+    the spec), flagged ``is_baseline`` and in the selection, so the selected
+    gamma never scores below it on test accuracy.  The training rows' squared
     distances are computed once, and every gamma's :func:`fit_and_score`
     takes its Gram and training-split score from them; a row's
     ``wall_time_s`` leaves that shared step out.
@@ -337,6 +337,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
         spec=spec,
         rows=tuple(rows),
         dataset_provenance=dataset.provenance,
+        selected_gamma=select_gamma(rows),
         models=models,
         replay=replay,
     )
@@ -355,16 +356,8 @@ def select_gamma(rows) -> float:
 
 
 def sweep(spec: ExperimentSpec, gamma_grid, out_dir=None) -> ExperimentReport:
-    """Run the experiment over a gamma grid and record the selected gamma.
-
-    The always-present baseline row competes in the selection, so the chosen
-    gamma never scores below gamma = 1.0 on test accuracy.
-    """
-    report = run_experiment(replace(spec, gammas=tuple(gamma_grid)))
-    report = replace(report, selected_gamma=select_gamma(report.rows))
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
+    """:func:`run_experiment` of ``spec`` over the gammas of ``gamma_grid``."""
+    return run_experiment(replace(spec, gammas=tuple(gamma_grid)), out_dir)
 
 
 def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> Path:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dsvkernel import cli
+from dsvkernel import cli, errors
 from dsvkernel import experiment as exp
 from dsvkernel.data import load_csv, recode_labels
 from dsvkernel.experiment import apply_transform_chain
@@ -292,6 +292,26 @@ class TestTrainEvaluateBoundary:
         code, _, err = run_cli(capsys, "evaluate", "--model", str(model_path),
                                "--data", str(moons_csv))
         assert code == 0, err
+
+    @pytest.mark.parametrize("train_flags, boundary_flags, message", [
+        (["--data", "iris", "--label-column", "species", "--features", "sepal_width",
+          "--gamma", "1"], ["--data", "iris"], "boundary grids need 2-feature models, got 1"),
+        (["--data", "moons", "--gamma", "1.5"], ["--data", "iris", "--label-column", "species"],
+         "feature dimensions differ: train 2, test 4"),
+    ], ids=["one-feature-model", "moons-model-on-iris"])
+    def test_boundary_of_data_of_another_width_exits_2(self, tmp_path, capsys, iris_csv,
+                                                        moons_csv, train_flags,
+                                                        boundary_flags, message):
+        paths = {"iris": str(iris_csv), "moons": str(moons_csv)}
+        model_path, grid_path = tmp_path / "model.json", tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, "train", *[paths.get(f, f) for f in train_flags],
+                               "--out", str(model_path))
+        assert code == 0, err
+        code, stdout, err = run_cli(capsys, "boundary", "--model", str(model_path),
+                                    *[paths.get(f, f) for f in boundary_flags],
+                                    "--out", str(grid_path))
+        assert (code, stdout, err) == (2, "", f"dsvkernel: error: {message}\n")
+        assert not grid_path.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_boundary_of_non_finite_data_exits_2(self, tmp_path, capsys, moons_csv, cell):
@@ -772,6 +792,27 @@ class TestMalformedOneVsOneModel:
             assert code == 2, (command, err)
             assert err.startswith("dsvkernel: error: ") and hint in err, err
         assert not (tmp_path / "grid.csv").exists()
+
+
+class TestExitStatus:
+    """``main`` prints one stderr line led by the error class's label and
+    returns its exit code; an OSError gives 4."""
+
+    @pytest.mark.parametrize("error, code, label", [
+        (errors.InvalidInputError, 2, "error"),
+        (errors.DatasetParseError, 2, "error"),
+        (errors.CutoffExceededError, 2, "error"),
+        (errors.NonConvergenceError, 3, "non-convergence"),
+        (OSError, 4, "i/o error"),
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+    def test_an_error_class_sets_the_exit_status_and_label(self, monkeypatch, capsys, error,
+                                                           code, label):
+        def fail(args):
+            raise error("what went wrong")
+
+        monkeypatch.setattr(cli, "_cmd_simulate_overlap", fail)
+        assert run_cli(capsys, "simulate", "overlap", "--xp", "0", "--xq", "1", "--r", "0") == (
+            code, "", f"dsvkernel: {label}: what went wrong\n")
 
 
 class TestSweepCli:

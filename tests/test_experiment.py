@@ -189,10 +189,14 @@ class TestRunExperiment:
         assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
     def test_report_replayable_from_embedded_spec(self, tmp_path):
-        exp.run_experiment(_moons_spec(), out_dir=tmp_path)
-        doc = json.loads((tmp_path / "report.json").read_text())
-        replay = exp.run_experiment(exp.spec_from_dict(doc["spec"]))
-        assert reports_equal_ignoring_timings(doc, replay.to_json_dict())
+        exp.run_experiment(_moons_spec(), out_dir=tmp_path / "run")
+        # a sweep's report embeds its grid as the spec's gammas
+        exp.sweep(_moons_spec(gammas=(1.0,)), (0.5, 1.5), out_dir=tmp_path / "sweep")
+        for writer in ("run", "sweep"):
+            doc = json.loads((tmp_path / writer / "report.json").read_text())
+            replay = exp.run_experiment(exp.spec_from_dict(doc["spec"]))
+            assert reports_equal_ignoring_timings(doc, replay.to_json_dict()), writer
+            assert replay.selected_gamma == exp.select_gamma(replay.rows)
 
 
 class TestSweep:
