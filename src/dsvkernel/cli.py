@@ -6,10 +6,10 @@ Results go to stdout as JSON or to files named by ``--out``.  ``--seed``
 drives data generation and train/test splits only; training is
 deterministic given the training rows.
 
-``train`` (a one-gamma spec) and ``sweep`` share the preprocessing of
-:func:`dsvkernel.experiment.prepare`, so every model file either writes
-carries the transform chain and label coding that ``evaluate`` and
-``boundary`` replay on a raw CSV.
+``train`` (a one-gamma spec) and ``sweep`` share ``experiment.prepare``
+and ``experiment.fit_and_score``, so every model file either writes carries
+the transform chain and label coding that ``evaluate`` and ``boundary``
+replay on a raw CSV through ``experiment.apply_transform_chain``.
 
 Exit codes: 0 success, 4 I/O failure, and for a package error the
 ``exit_code`` of its class: 2 invalid input, 3 numerical non-convergence.
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .data import LABEL_COLUMN, atomic_write_text, load_csv, pretty_json, recode_labels, save_csv
+from .data import LABEL_COLUMN, atomic_write_text, pretty_json, recode_labels, save_csv
 from .errors import (
     MALFORMED_ERRORS,
     DsvKernelError,
@@ -131,19 +131,10 @@ def _experiment_spec(args, dataset, gammas) -> exp.ExperimentSpec:
 
 def _load_model_and_data(args):
     """The model, its JSON document and ``--data`` mapped through the
-    model's stored preprocessing into its feature space, as wide as the model.
-
-    Only the columns of the chain's leading ``select`` entry are read (every
-    column when there is none), so only they must hold finite numbers; a
-    malformed chain is left for :func:`apply_transform_chain` to report."""
+    model's stored preprocessing into its feature space, as wide as the model."""
     model, payload = load_model(args.model)
     label_column = args.label_column or payload.get("label_column", LABEL_COLUMN)
-    chain = payload.get("preprocessing", [])
-    try:
-        names = list(chain[0]["names"]) if chain[0]["kind"] == "select" else None
-    except MALFORMED_ERRORS:
-        names = None
-    dataset = exp.apply_transform_chain(load_csv(args.data, label_column, names), chain)
+    dataset = exp.apply_transform_chain(args.data, label_column, payload.get("preprocessing", []))
     width = model.machines[0][1].support_vectors.shape[1]
     if dataset.n_features != width:
         raise InvalidDimensionError(
@@ -198,21 +189,19 @@ def _cmd_simulate_overlap(args) -> None:
 def _cmd_train(args) -> None:
     kernel = _kernel_config(args)
     spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
-    config = spec.svm_config(kernel)
     _, train_ds, test_ds, replay = exp.prepare(spec)
     sq = sq_distances(train_ds.features, train_ds.features)
-    model, train_acc, test_acc = exp.fit_and_score(train_ds, test_ds, config, sq)
-    converged = all(m.converged for _, m in model.machines)
+    model, row = exp.fit_and_score(train_ds, test_ds, spec.svm_config(kernel), sq)
     out = Path(args.out)
     save_model(out, model, extra={**replay, "seed": spec.seed})
     _emit({
         "model": str(out),
-        "train_acc": train_acc,
-        "test_acc": test_acc,
-        "n_sv": sum(m.n_support for _, m in model.machines),
-        "converged": converged,
+        "train_acc": row.train_acc,
+        "test_acc": row.test_acc,
+        "n_sv": row.n_sv,
+        "converged": row.converged,
     })
-    if not converged:
+    if not row.converged:
         raise NonConvergenceError("training did not reach its tolerance; model saved anyway")
 
 

@@ -205,7 +205,7 @@ def make_spirals(n: int, turns: float, noise_sigma: float, seed: int) -> Labeled
 def _relabel(raw_labels: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     distinct = set(raw_labels)
     try:
-        ordered = sorted(distinct, key=int)
+        ordered = sorted(distinct, key=lambda name: (int(name), name))
     except ValueError:
         ordered = sorted(distinct)
     code = {name: i for i, name in enumerate(ordered)}
@@ -220,12 +220,12 @@ def load_csv(
     """Read a header-first CSV with numeric feature cells.
 
     Only the label column and ``feature_columns`` (None: every other
-    column) are read, and each feature cell must be a finite number; the
-    first cell that is not raises :class:`DatasetParseError` naming its row
-    and column.  Row numbers in error messages are 1-based file lines (the
-    header is line 1, and blank lines count).  Class labels may be strings
-    or integers; they are recoded to 0..L-1 (numeric sort when every label
-    parses as an integer, else lexicographic).
+    column) are read; each must appear once in the header.  The first
+    feature cell that is not a finite number raises :class:`DatasetParseError`
+    naming its column and 1-based file line (the header is line 1, and blank
+    lines count).  Class labels, strings or integers, become 0..L-1: in
+    numeric order when every label parses as an integer (equal values such
+    as ``1`` and ``01`` in string order), else in string order.
     """
     path = Path(path)
     raw = path.read_bytes()  # missing file surfaces as FileNotFoundError
@@ -242,6 +242,9 @@ def load_csv(
         raise DatasetParseError(f"{path}: unknown label column {label_column!r}")
     if feature_columns is None:
         feature_columns = [h for h in header if h != label_column]
+    for name in (label_column, *feature_columns):
+        if header.count(name) > 1:
+            raise DatasetParseError(f"{path}: column {name!r} appears twice in the header")
     if len(set(feature_columns)) != len(feature_columns):
         raise DatasetParseError(f"{path}: duplicate feature columns requested")
     if not feature_columns:

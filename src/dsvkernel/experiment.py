@@ -285,16 +285,26 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
 
 
 def fit_and_score(train_ds: LabeledDataset, test_ds: LabeledDataset, config: SvmConfig,
-                  sq: np.ndarray) -> tuple[MulticlassModel, float, float]:
-    """``(model, train_acc, test_acc)``: the training path of ``sweep`` and
-    CLI ``train``.
+                  sq: np.ndarray) -> tuple[MulticlassModel, ExperimentRow]:
+    """``(model, row)``: the training path of ``sweep`` and CLI ``train``,
+    and the one place a fit's report row is made.
 
     ``sq``, the squared distances between the training rows, gives every
     machine's Gram and the training split's score and is left unchanged;
-    the test split is scored through a cross Gram.
+    the test split is scored through a cross Gram.  The row's
+    ``wall_time_s`` covers training and both scores.
     """
+    started = time.perf_counter()
     model = train_multiclass(train_ds, config, sq)
-    return model, accuracy(model, train_ds, sq), accuracy(model, test_ds)
+    return model, ExperimentRow(
+        gamma=config.kernel.gamma,
+        train_acc=accuracy(model, train_ds, sq),
+        test_acc=accuracy(model, test_ds),
+        n_sv=sum(m.n_support for _, m in model.machines),
+        converged=all(m.converged for _, m in model.machines),
+        is_baseline=(config.kernel.gamma == 1.0),
+        wall_time_s=time.perf_counter() - started,
+    )
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
@@ -317,20 +327,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     rows = []
     models = {}
     for gamma in gammas:
-        started = time.perf_counter()
         config = spec.svm_config(KernelConfig.direct(gamma))
-        model, train_acc, test_acc = fit_and_score(train_ds, test_ds, config, sq)
-        rows.append(
-            ExperimentRow(
-                gamma=gamma,
-                train_acc=train_acc,
-                test_acc=test_acc,
-                n_sv=sum(m.n_support for _, m in model.machines),
-                converged=all(m.converged for _, m in model.machines),
-                is_baseline=(gamma == 1.0),
-                wall_time_s=time.perf_counter() - started,
-            )
-        )
+        model, row = fit_and_score(train_ds, test_ds, config, sq)
+        rows.append(row)
         models[gamma] = model
 
     report = ExperimentReport(
@@ -437,13 +436,19 @@ def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.n
     return (d2[:, None, :] + d1[None, :, :]).reshape(-1, len(sv))
 
 
-def apply_transform_chain(dataset: LabeledDataset, chain: list[dict]) -> LabeledDataset:
-    """Replay a serialized preprocessing pipeline (select / standardize / pca).
+def apply_transform_chain(path, label_column: str, chain: list[dict]) -> LabeledDataset:
+    """Read the CSV at ``path`` and replay a serialized preprocessing
+    pipeline (select / standardize / pca) on it.
 
     Model files store such a chain (see :func:`prepare`) so evaluation can
-    map a raw CSV into the feature space a model was trained in.
+    map a raw CSV into the feature space a model was trained in.  Only the
+    columns of a leading ``select`` entry are read (every column when there
+    is none), so only they must hold finite numbers.  A malformed chain
+    raises :class:`InvalidInputError` (``malformed preprocessing: ...``).
     """
     try:
+        names = list(chain[0]["names"]) if chain and chain[0]["kind"] == "select" else None
+        dataset = load_csv(path, label_column, names)
         for entry in chain:
             kind = entry["kind"]
             if kind == "select":

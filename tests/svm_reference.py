@@ -9,8 +9,8 @@ bytes for the same input.
 the cross-Gram path of :func:`dsvkernel.svm.decision_values` can be checked
 against it point by point.
 
-:func:`train_multiclass_reference` and :func:`fit_and_score_reference` are
-the per-fit training path: every machine gets its own
+:func:`train_multiclass_reference` and :func:`accuracy_reference` are the
+per-fit training path: every machine gets its own
 :class:`~dsvkernel.kernel.GramMatrix` from :func:`~dsvkernel.kernel.gram`,
 and the training split is scored through
 :func:`~dsvkernel.svm.decision_values`' cross Gram.  Training on shared
@@ -165,8 +165,9 @@ def train_binary_reference(features: np.ndarray, y: np.ndarray, config) -> SvmMo
     )
 
 
-def train_multiclass_reference(data, config) -> MulticlassModel:
-    """One-vs-one training with one :func:`gram` per machine."""
+def train_multiclass_reference(data, config, sq=None) -> MulticlassModel:
+    """One-vs-one training with one :func:`gram` per machine; ``sq`` is
+    ignored."""
     labels = np.asarray(data.labels)
     features = np.asarray(data.features, dtype=float)
     classes = sorted(int(c) for c in np.unique(labels))
@@ -178,8 +179,6 @@ def train_multiclass_reference(data, config) -> MulticlassModel:
     return MulticlassModel(machines=tuple(machines), classes=tuple(classes))
 
 
-def fit_and_score_reference(train_ds, test_ds, config, sq=None):
-    """:func:`dsvkernel.experiment.fit_and_score` on the per-fit path; ``sq``
-    is ignored."""
-    model = train_multiclass_reference(train_ds, config)
-    return model, accuracy(model, train_ds), accuracy(model, test_ds)
+def accuracy_reference(model, data, sq=None) -> float:
+    """:func:`dsvkernel.svm.accuracy` through the cross Gram; ``sq`` is ignored."""
+    return accuracy(model, data)

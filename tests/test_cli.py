@@ -465,7 +465,7 @@ class TestTrainEvaluateBoundary:
         assert payload["n_samples"] == 50
 
         model, doc = load_model(iris_model)
-        data = apply_transform_chain(load_csv(subset, "species"), doc["preprocessing"])
+        data = apply_transform_chain(subset, "species", doc["preprocessing"])
         versicolor = doc["label_names"].index("versicolor")
         correct = np.count_nonzero(predict_labels(model, data.features) == versicolor)
         assert payload["accuracy"] == correct / 50
@@ -474,9 +474,8 @@ class TestTrainEvaluateBoundary:
         code, stdout, _ = run_cli(
             capsys, "evaluate", "--model", str(iris_model), "--data", str(iris_csv),
         )
-        full = load_csv(iris_csv, "species")
+        full = apply_transform_chain(iris_csv, "species", doc["preprocessing"])
         assert full.label_names == tuple(doc["label_names"])
-        full = apply_transform_chain(full, doc["preprocessing"])
         correct = np.count_nonzero(predict_labels(model, full.features) == full.labels)
         assert code == 0 and parse_json(stdout)["accuracy"] == correct / 150
 
@@ -531,9 +530,10 @@ class TestTrainEvaluateBoundary:
          ("evaluate", "boundary")),
         ("preprocessing", 5, ("evaluate", "boundary")),
         ("preprocessing", ["select"], ("evaluate", "boundary")),
+        ("preprocessing", [{"kind": "select", "names": [["x1"], "x2"]}], ("evaluate", "boundary")),
         ("label_names", 5, ("evaluate",)),
     ], ids=["standardize-no-scaler", "pca-no-components", "chain-not-a-list",
-            "entry-not-a-dict", "label-names-not-a-list"])
+            "entry-not-a-dict", "select-names-unhashable", "label-names-not-a-list"])
     def test_malformed_replay_field_exits_2(self, tmp_path, capsys, moons_csv,
                                             field, value, commands):
         model_path = tmp_path / "model.json"
@@ -601,7 +601,7 @@ def _accuracy_from_model_file(model_path: Path, csv: Path, label_column: str) ->
     support vector at a time, then the one-vs-one vote (most wins, then the
     largest summed |decision value|, then the lowest class)."""
     doc = json.loads(model_path.read_text())
-    data = apply_transform_chain(load_csv(csv, label_column), doc["preprocessing"])
+    data = apply_transform_chain(csv, label_column, doc["preprocessing"])
     gamma = doc["kernel"]["gamma"]
     correct = 0
     for x, label in zip(data.features.tolist(), data.labels.tolist()):
@@ -866,11 +866,16 @@ class TestSweepCli:
     ):
         csv, flags, out_dir = file_sweep
         model_path = tmp_path / "train.json"
-        code, _, err = run_cli(capsys, "train", "--data", str(csv), *flags, "--standardize",
-                               "--seed", "3", "--out", str(model_path))
+        code, stdout, err = run_cli(capsys, "train", "--data", str(csv), *flags,
+                                    "--standardize", "--seed", "3", "--out", str(model_path))
         assert code == 0, err
         trained = json.loads(model_path.read_text())
         gamma = trained["kernel"]["gamma"]
+        report = json.loads((out_dir / "report.json").read_text())
+        row = next(r for r in report["rows"] if r["gamma"] == gamma)
+        printed = parse_json(stdout)
+        for key in ("train_acc", "test_acc", "n_sv", "converged"):
+            assert printed[key] == row[key], key
         swept = json.loads((out_dir / f"model_gamma_{gamma!r}.json").read_text())
         assert trained["preprocessing"] == swept["preprocessing"]
         assert len(trained["machines"]) == len(swept["machines"]) == 1

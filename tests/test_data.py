@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import dsvkernel
 from dsvkernel.data import (
     SPIRAL_RADIUS_PER_TURN,
     ColumnScaler,
@@ -173,6 +178,41 @@ class TestLoadCsv:
         data = load_csv(path, "label")
         assert data.label_names == ("2", "10")
         assert data.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("text, features, name", [
+        ("a,a,b,label\n1,100,5,0\n2,200,6,1\n", ["a"], "a"),
+        ("x,label,label\n1,0,1\n2,1,0\n", None, "label"),
+        ("a,a,b,label\n1,100,5,0\n2,200,6,1\n", None, "a"),
+    ], ids=["requested-feature", "label", "no-features-given"])
+    def test_a_column_read_twice_in_the_header_is_rejected(self, tmp_path, text, features, name):
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetParseError) as err:
+            load_csv(path, "label", features)
+        assert str(err.value) == f"{path}: column {name!r} appears twice in the header"
+
+    def test_a_repeated_column_that_is_not_read_is_allowed(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,b,label\n1,100,5,0\n2,200,6,1\n")
+        assert load_csv(path, "label", ["b"]).features.tolist() == [[5.0], [6.0]]
+        with pytest.raises(DatasetParseError, match="duplicate feature columns requested"):
+            load_csv(path, "label", ["b", "b"])
+
+    def test_labels_of_equal_value_keep_one_order_under_every_hash_seed(self, tmp_path):
+        path = tmp_path / "ties.csv"
+        path.write_text("a,label\n0,1\n1, 1\n2,01\n3,2\n4,1\n")
+        script = ("import json, sys; from dsvkernel.data import load_csv; "
+                  "print(json.dumps(load_csv(sys.argv[1], 'label').label_names))")
+        src = str(Path(dsvkernel.__file__).resolve().parent.parent)
+        orders = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            orders.add(tuple(json.loads(proc.stdout)))
+        assert orders == {(" 1", "01", "1", "2")}
 
     def test_hash_stable_across_loads(self, iris_csv):
         a = load_csv(iris_csv, "species")

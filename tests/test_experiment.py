@@ -23,7 +23,7 @@ from dsvkernel.svm import (
 from boundary_reference import reference_boundary_csv
 from conftest import MISSING_DIABETES_MSG, diabetes_available
 from report_reference import reports_equal_ignoring_timings
-from svm_reference import fit_and_score_reference
+from svm_reference import accuracy_reference, train_multiclass_reference
 
 
 def _moons_spec(**overrides):
@@ -233,7 +233,8 @@ class TestSharedTrainingPath:
         spec = exp.ExperimentSpec(dataset=dataset, gammas=exp.DEFAULT_GAMMA_GRID,
                                   standardize=name == "iris", seed=1)
         exp.sweep(spec, spec.gammas, out_dir=tmp_path / "shared")
-        monkeypatch.setattr(exp, "fit_and_score", fit_and_score_reference)
+        monkeypatch.setattr(exp, "train_multiclass", train_multiclass_reference)
+        monkeypatch.setattr(exp, "accuracy", accuracy_reference)
         exp.sweep(spec, spec.gammas, out_dir=tmp_path / "per-fit")
         shared = sorted(p.name for p in (tmp_path / "shared").iterdir())
         assert shared == sorted(p.name for p in (tmp_path / "per-fit").iterdir())
@@ -496,13 +497,12 @@ class TestTransformChain:
             {"kind": "standardize", "scaler": scaler.to_dict()},
             {"kind": "pca", "model": pca.to_dict()},
         ]
-        replayed = exp.apply_transform_chain(data, chain)
+        replayed = exp.apply_transform_chain(iris_csv, "species", chain)
         from dsvkernel.data import pca_transform
 
         direct = pca_transform(pca, scaled)
         assert np.max(np.abs(replayed.features - direct.features)) <= 1e-12
 
     def test_unknown_kind_rejected(self, iris_csv):
-        data = load_csv(iris_csv, "species")
         with pytest.raises(InvalidInputError):
-            exp.apply_transform_chain(data, [{"kind": "whiten"}])
+            exp.apply_transform_chain(iris_csv, "species", [{"kind": "whiten"}])
