@@ -23,7 +23,8 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="directory for report files")
     args = parser.parse_args()
 
-    print(f"{'dataset':<10} {'gamma':>6} {'median test acc':>16} {'median @1.0':>12} {'wins':>5}")
+    print(f"{'dataset':<10} {'gamma':>6} {'median test acc':>16} {'median @1.0':>12} "
+          f"{'wins/ties/losses':>17}")
     for kind, gamma in COMPARISON_GAMMAS.items():
         at_gamma, at_unit = [], []
         for seed in range(args.seeds):
@@ -37,10 +38,12 @@ def main() -> None:
             report = exp.run_experiment(spec, out_dir=out_dir)
             at_gamma.append(report.row_for(gamma).test_acc)
             at_unit.append(report.baseline_row().test_acc)
-        wins = sum(p >= q for p, q in zip(at_gamma, at_unit))
+        pairs = list(zip(at_gamma, at_unit))
+        tally = (f"{sum(p > q for p, q in pairs)}/{sum(p == q for p, q in pairs)}/"
+                 f"{sum(p < q for p, q in pairs)}")
         print(
             f"{kind:<10} {gamma:>6} {statistics.median(at_gamma):>16.4f} "
-            f"{statistics.median(at_unit):>12.4f} {wins:>3}/{args.seeds}"
+            f"{statistics.median(at_unit):>12.4f} {tally:>17}"
         )
 
 
