@@ -17,12 +17,21 @@ quartiles, and how many seeds the change is better on; it also holds the
 steal ticks and failed operations of every run and each side's machine
 facts.  Which direction is better comes from the change's
 ``BENCHMARK.json``.  The file is written to the current directory.
+
+Each metric also gets the median of the per-seed ratios change/parent and a
+distribution-free interval for it (Kalibera & Jones, ISMM 2013): the k-th
+smallest to the k-th largest ratio, for the largest k whose coverage
+1 - 2 P(Binomial(n, 1/2) < k) is at least ``RATIO_COVERAGE``; of 10 ratios,
+the 2nd to the 9th smallest, with coverage 1 - 2 * 11/1024 = 97.9%.  The
+verdict is ``better`` or ``worse`` only when that interval excludes 1, and
+``no verdict`` otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -35,6 +44,8 @@ PROTOCOL = (
     "interleaved per seed; the first pass of every run is warm-up and excluded by the "
     "benchmark; medians and quartiles over the seeds"
 )
+#: Least coverage of the interval on the median ratio change/parent.
+RATIO_COVERAGE = 0.95
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,6 +93,47 @@ def better_pairs(parent: list[float], change: list[float], higher: bool) -> str:
     return f"{wins}/{len(parent)}" + (f" ({ties} ties)" if ties else "")
 
 
+def median_interval(n: int) -> tuple[int, float] | None:
+    """``(k, coverage)``: the k-th smallest and k-th largest of n values
+    bound their median with probability ``coverage`` for any continuous
+    distribution; the largest k whose coverage is at least
+    ``RATIO_COVERAGE``, or None when n is too small for any."""
+    bound = None
+    for k in range(1, n // 2 + 1):
+        coverage = 1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+        if coverage < RATIO_COVERAGE:
+            break
+        bound = (k, coverage)
+    return bound
+
+
+def ratio_summary(parent: list[float], change: list[float], higher: bool) -> dict:
+    """The median of the per-seed ratios change/parent, its interval and
+    coverage (:func:`median_interval`) and the verdict they give."""
+    entry = {"ratio_median": None, "ratio_interval": None, "ratio_coverage": None,
+             "verdict": "no verdict"}
+    if 0 in parent:
+        return entry
+    ratios = sorted(c / p for p, c in zip(parent, change))
+    entry["ratio_median"] = statistics.median(ratios)
+    bound = median_interval(len(ratios))
+    if bound is not None:
+        k, entry["ratio_coverage"] = bound
+        low, high = entry["ratio_interval"] = [ratios[k - 1], ratios[-k]]
+        if not low <= 1.0 <= high:
+            entry["verdict"] = "better" if (low > 1.0) == higher else "worse"
+    return entry
+
+
+def ratio_text(entry: dict) -> str:
+    """The ratio keys of a metric's entry as one short phrase."""
+    if entry["ratio_median"] is None:
+        return entry["verdict"]
+    interval = entry["ratio_interval"]
+    bounds = "" if interval is None else " in [{:.4g}, {:.4g}]".format(*interval)
+    return f"ratio {entry['ratio_median']:.4g}{bounds}: {entry['verdict']}"
+
+
 def metric_summary(name: str, seeds: list[int], runs: dict, better: dict) -> dict:
     values = {side: [runs[side][s]["metrics"][name]["value"] for s in seeds] for side in SIDES}
     entry = {"unit": runs["change"][seeds[0]]["metrics"][name]["unit"],
@@ -92,8 +144,9 @@ def metric_summary(name: str, seeds: list[int], runs: dict, better: dict) -> dic
         entry[f"{side}_median"] = statistics.median(values[side])
     for side in SIDES:
         entry[f"{side}_quartiles"] = quartiles(values[side])
-    entry["change_better_pairs"] = better_pairs(values["parent"], values["change"],
-                                                entry["better"] == "higher")
+    higher = entry["better"] == "higher"
+    entry["change_better_pairs"] = better_pairs(values["parent"], values["change"], higher)
+    entry.update(ratio_summary(values["parent"], values["change"], higher))
     return entry
 
 
@@ -167,7 +220,7 @@ def main(argv=None) -> int:
             if "parent_median" in m:
                 print(f"{workload:16s} {name:12s} {m['parent_median']:.6g} -> "
                       f"{m['change_median']:.6g} {m['unit']} "
-                      f"(change better on {m['change_better_pairs']})")
+                      f"(change better on {m['change_better_pairs']}; {ratio_text(m)})")
     return 0
 
 

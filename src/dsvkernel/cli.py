@@ -34,7 +34,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fock import SqueezeParams
-from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec, sq_distances
+from .kernel import KernelConfig, data_fingerprint, gram, kernel_vec
 from .svm import accuracy, load_model, save_model
 
 EXIT_IO = 4  # an OSError; each package error carries its own exit_code
@@ -189,8 +189,7 @@ def _cmd_simulate_overlap(args) -> None:
 def _cmd_train(args) -> None:
     kernel = _kernel_config(args)
     spec = _experiment_spec(args, _file_spec(args), (kernel.gamma,))
-    _, train_ds, test_ds, replay = exp.prepare(spec)
-    sq = sq_distances(train_ds.features, train_ds.features)
+    _, train_ds, test_ds, replay, sq = exp.prepare(spec)
     model, row = exp.fit_and_score(train_ds, test_ds, spec.svm_config(kernel), sq)
     out = Path(args.out)
     save_model(out, model, extra={**replay, "seed": spec.seed})

@@ -45,6 +45,7 @@ from .kernel import (
     check_gamma,
     gamma_from_squeeze,
     gaussian,
+    gram_distances,
     kernel_scalar,
     sq_distances,
 )
@@ -205,10 +206,11 @@ def _dataset_and_chain(dataset_spec, seed: int) -> tuple[LabeledDataset, list[di
 def prepare(spec: ExperimentSpec):
     """Dataset -> split -> train-fitted standardization, for every caller.
 
-    Returns ``(dataset, train, test, replay)``.  ``replay`` holds the
+    Returns ``(dataset, train, test, replay, sq)``.  ``replay`` holds the
     model-file fields ``preprocessing``, ``label_column`` and ``label_names``
     with which ``evaluate`` and ``boundary`` map the raw CSV (for generators,
-    the one ``data generate`` writes) into the model's feature space.
+    the one ``data generate`` writes) into the model's feature space.  ``sq``,
+    the training rows' ``kernel.gram_distances``, is read by every fit.
     """
     dataset, chain = _dataset_and_chain(spec.dataset, spec.seed)
     train_ds, test_ds = split(
@@ -224,7 +226,7 @@ def prepare(spec: ExperimentSpec):
         "label_column": getattr(spec.dataset, "label_column", data.LABEL_COLUMN),
         "label_names": list(dataset.label_names),
     }
-    return dataset, train_ds, test_ds, replay
+    return dataset, train_ds, test_ds, replay, gram_distances(train_ds.features)
 
 
 @dataclass(frozen=True)
@@ -319,16 +321,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
 
     A gamma = 1.0 baseline row is always present (appended when missing from
     the spec), flagged ``is_baseline`` and in the selection, so the selected
-    gamma never scores below it on test accuracy.  The training rows' squared
-    distances are computed once, and every gamma's :func:`fit_and_score`
-    takes its Gram and training-split score from them; a row's
-    ``wall_time_s`` leaves that shared step out.
+    gamma never scores below it on test accuracy.  Every gamma's
+    :func:`fit_and_score` reads the training distances :func:`prepare` made
+    once; a row's ``wall_time_s`` leaves that shared step out.
     """
-    dataset, train_ds, test_ds, replay = prepare(spec)
+    dataset, train_ds, test_ds, replay, sq = prepare(spec)
     gammas = list(spec.gammas)
     if 1.0 not in gammas:
         gammas.append(1.0)
-    sq = sq_distances(train_ds.features, train_ds.features)
 
     rows = []
     models = {}
@@ -380,7 +380,8 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
     The lattice is computed and written one band of ``BOUNDARY_BAND_ROWS``
     x2 values at a time, streamed to the atomic writer, so memory grows with
     ``resolution`` rather than its square; values are row-local, so the bytes
-    are the same at any band size and BLAS thread count.  Nothing is written,
+    are the same at any band size and BLAS thread count.  Each machine's two
+    per-axis distance tables are built once per export.  Nothing is written,
     and no directory made, before validation.
     """
     if not 2 <= resolution <= MAX_BOUNDARY_RESOLUTION:
@@ -405,14 +406,15 @@ def boundary_grid(model: MulticlassModel, bounds, resolution: int, out_path) -> 
 def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
     """The boundary CSV's header, then one string of lines per band."""
     yield "x1,x2,decision_value,label\n"
-    nx = len(xs)
     x_cells = [repr(x) + "," for x in xs.tolist()]
     endings = {c: f",{c}\n" for c in model.classes}
+    tables = [(sq_distances(xs[:, None], m.support_vectors[:, :1]),
+               sq_distances(ys[:, None], m.support_vectors[:, 1:])) for _, m in model.machines]
     for start in range(0, len(ys), BOUNDARY_BAND_ROWS):
         band = ys[start:start + BOUNDARY_BAND_ROWS]
         decisions = []
-        for _, machine in model.machines:
-            sq = lattice_sq_distances(xs, band, machine.support_vectors)
+        for (_, machine), (d1, d2) in zip(model.machines, tables):
+            sq = (d2[start:start + BOUNDARY_BAND_ROWS, None, :] + d1).reshape(-1, d1.shape[1])
             decisions.append(decision_from_gram(machine, gaussian(sq, machine.kernel.gamma)))
         labels = vote(model, decisions)
         values = np.zeros(len(labels))
@@ -420,27 +422,14 @@ def _boundary_lines(model: MulticlassModel, xs: np.ndarray, ys: np.ndarray):
             values += np.where(labels == pos, d, 0.0) - np.where(labels == neg, d, 0.0)
         # each line is four cells, "x1," "x2," "value" ",label\n", and the
         # band is one join over them; only the value is formatted per point
-        width = 4 * nx
+        width = 4 * len(xs)
         cells = [""] * (width * len(band))
         cells[0::4] = x_cells * len(band)
         for row, y in enumerate(band.tolist()):
-            cells[width * row + 1:width * (row + 1):4] = [repr(y) + ","] * nx
+            cells[width * row + 1:width * (row + 1):4] = [repr(y) + ","] * len(xs)
         cells[2::4] = map(repr, values.tolist())
         cells[3::4] = map(endings.__getitem__, labels.tolist())
         yield "".join(cells)
-
-
-def lattice_sq_distances(xs: np.ndarray, ys: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """``sq_distances(lattice, sv)`` for the x2-major lattice of ``xs`` and
-    ``ys`` (x1 fastest), bit for bit.
-
-    A lattice point's squared distance to a support vector is the sum of one
-    entry from each of two per-axis tables, so the lattice-sized array is
-    written once, by one broadcast addition.
-    """
-    d1 = sq_distances(xs[:, None], sv[:, :1])
-    d2 = sq_distances(ys[:, None], sv[:, 1:])
-    return (d2[:, None, :] + d1[None, :, :]).reshape(-1, len(sv))
 
 
 def apply_transform_chain(path, label_column: str, chain: list[dict]) -> LabeledDataset:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import shutil
+import statistics
 
 import pytest
 from conftest import REPO_ROOT
@@ -51,7 +52,8 @@ def test_medians_quartiles_and_pairs():
     ops = sweep["ops_per_s"]
     assert list(ops) == ["unit", "better", "parent", "change", "parent_median",
                          "change_median", "parent_quartiles", "change_quartiles",
-                         "change_better_pairs"]
+                         "change_better_pairs", "ratio_median", "ratio_interval",
+                         "ratio_coverage", "verdict"]
     assert ops["unit"] == "1/s" and ops["better"] == "higher"
     assert ops["parent"] == {"1": 10.0, "2": 12.0, "3": 11.0, "4": 13.0, "5": 14.0}
     assert ops["change"]["5"] == 15.0
@@ -59,6 +61,9 @@ def test_medians_quartiles_and_pairs():
     assert ops["parent_quartiles"] == [11.0, 13.0]
     assert ops["change_quartiles"] == [15.0, 25.0]
     assert ops["change_better_pairs"] == "4/5"
+    # no interval of 5 ratios reaches 95% coverage
+    assert ops["ratio_median"] == 25.0 / 13.0
+    assert ops["ratio_interval"] is None and ops["verdict"] == "no verdict"
     rss = sweep["peak_rss_mb"]
     assert rss["better"] == "lower"
     assert rss["change_better_pairs"] == "2/5 (2 ties)"
@@ -68,6 +73,48 @@ def test_medians_quartiles_and_pairs():
                                 "change": {"nproc": 2, "numpy": "new"}}
     assert bench["command"].endswith("--seconds 30 --trace 0")
     assert "seeds 1-5;" in bench["protocol"]
+
+
+def test_median_interval_coverage():
+    assert bench_pairs.median_interval(10) == (2, 1 - 2 * 11 / 1024)
+    assert bench_pairs.median_interval(6) == (1, 1 - 2 / 64)
+    assert bench_pairs.median_interval(5) is None
+    assert bench_pairs.median_interval(20)[0] == 6  # coverage 0.9586; k = 7 gives 0.8847
+
+
+#: Ten parent values of one metric, and per-seed ratios change/parent.
+PARENT = [50.0, 52.0, 47.0, 55.0, 60.0, 49.0, 51.0, 58.0, 53.0, 45.0]
+RATIOS = {
+    # one pair slower, yet the interval from the 2nd to the 9th smallest clears 1
+    "gain": [1.10, 0.97, 1.08, 1.12, 1.06, 1.02, 1.09, 1.11, 1.07, 1.05],
+    # the same but for one flat pair, the 2nd smallest: 9 of 10 pairs better, no verdict
+    "flat": [1.10, 0.97, 1.08, 1.12, 1.06, 1.00, 1.09, 1.11, 1.07, 1.05],
+    # a control workload whose host drifts 3-6% slower on every pair
+    "drift": [0.97, 0.95, 0.96, 0.94, 0.97, 0.96, 0.95, 0.97, 0.96, 0.95],
+    # spread across 1: no verdict either way
+    "noise": [1.10, 0.90, 1.05, 0.95, 1.20, 0.85, 1.02, 0.99, 1.01, 0.97],
+}
+
+
+@pytest.mark.parametrize("case, better, interval, verdict", [
+    ("gain", "higher", [1.02, 1.11], "better"),
+    ("gain", "lower", [1.02, 1.11], "worse"),
+    ("flat", "higher", [1.00, 1.11], "no verdict"),
+    ("drift", "higher", [0.95, 0.97], "worse"),
+    ("drift", "lower", [0.95, 0.97], "better"),
+    ("noise", "higher", [0.90, 1.10], "no verdict"),
+])
+def test_ratio_interval_and_verdict(case, better, interval, verdict):
+    change = [p * r for p, r in zip(PARENT, RATIOS[case])]
+    runs = {side: _runs("boundary-export", [(seed, value, 40.0) for seed, value
+                                            in enumerate(values, start=1)], {})
+            for side, values in (("parent", PARENT), ("change", change))}
+    entry = bench_pairs.build(runs, {"ops_per_s": better}, 30.0, "demo", "a demo")[
+        "workloads"]["boundary-export"]["ops_per_s"]
+    assert entry["ratio_interval"] == pytest.approx(interval)
+    assert entry["ratio_median"] == pytest.approx(statistics.median(RATIOS[case]))
+    assert entry["ratio_coverage"] == 1 - 2 * 11 / 1024
+    assert entry["verdict"] == verdict
 
 
 #: A perfbench/run.py that logs its side, workload and seed, then writes the
@@ -120,7 +167,8 @@ def test_main_writes_the_labelled_file(tmp_path, capsys, monkeypatch):
     written = json.loads((tmp_path / "BENCH_demo.json").read_text())
     assert written["label"] == "demo" and written["summary"] == "a demo"
     assert "seeds 1-10;" in written["protocol"]
-    assert "sweep-diabetes   ops_per_s    15.5 -> 25.5 1/s" in capsys.readouterr().out
+    assert ("sweep-diabetes   ops_per_s    15.5 -> 25.5 1/s (change better on 10/10; "
+            "ratio 1.646 in [1.526, 1.833]: better)") in capsys.readouterr().out
 
 
 def test_parse_seeds():

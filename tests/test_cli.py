@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from dsvkernel import cli, errors
 from dsvkernel import experiment as exp
-from dsvkernel.data import MAX_GENERATOR_N, load_csv, recode_labels
+from dsvkernel.data import MAX_GENERATOR_N, SplitSpec, load_csv, recode_labels
 from dsvkernel.experiment import MAX_BOUNDARY_RESOLUTION, apply_transform_chain
 from dsvkernel.fock import MAX_CUTOFF
+from dsvkernel.kernel import MAX_GRAM_ROWS
 from dsvkernel.svm import load_model, predict_labels
 
 from gram_reference import gram_csv_text
@@ -126,6 +127,11 @@ OTHER_SOURCE_FLAGS = (
 #: Commands that read a CSV's features, by the name their rows' ids use.
 CSV_COMMANDS = {"train": "train", "kernel-gram": "kernel gram", "sweep": "sweep"}
 
+#: The fewest moons points whose training split is over the m x m ceiling,
+#: and the rows of that split.
+OVER_GRAM_N = 2 * math.ceil((MAX_GRAM_ROWS + 1) / (2 * SplitSpec.train_fraction))
+OVER_GRAM_TRAIN = math.floor(SplitSpec.train_fraction * OVER_GRAM_N)
+
 #: Every refusal of the CLI: row id -> (argv, exit code, the one stderr line
 #: after "dsvkernel: ").  ``$name`` is a file of ``cli_work``, and ``$out`` a
 #: path in a directory that does not exist; the refusal must make neither.
@@ -213,6 +219,14 @@ REFUSALS = {
                           "error: $dup_header: column 'a' appears twice in the header"),
     "features-name-the-label": ("train --data $moons --features x1,label --gamma 1 --out $out", 2,
                                 "error: $moons: label column 'label' named as a feature"),
+    **{f"rows-above-the-ceiling/{command}": (
+        f"{CSV_COMMANDS[command]} --data $over_gram --gamma 1 --out $out", 2,
+        f"error: a Gram takes at most {MAX_GRAM_ROWS} rows, got "
+        f"{OVER_GRAM_N if command == 'kernel-gram' else OVER_GRAM_TRAIN}")
+       for command in CSV_COMMANDS},
+    "rows-above-the-ceiling/sweep-generator": (
+        f"sweep --dataset moons --n {OVER_GRAM_N} --gamma 1 --out $out", 2,
+        f"error: a Gram takes at most {MAX_GRAM_ROWS} rows, got {OVER_GRAM_TRAIN}"),
     "missing-data": ("train --data $missing.csv --gamma 1.0 --out $out", 4,
                      "i/o error: [Errno 2] No such file or directory: '$missing.csv'"),
     # model replay
@@ -269,8 +283,10 @@ def cli_work(tmp_path_factory, iris_csv) -> dict:
 
     names["moons"], names["moons_model"] = str(work / "moons.csv"), str(work / "moons.json")
     names["one_feature_model"] = str(work / "one_feature.json")
+    names["over_gram"] = str(work / "over_gram.csv")
     run("data", "generate", "--dataset", "moons", "--n", "120", "--seed", "0",
         "--out", names["moons"])
+    run("data", "generate", "--dataset", "moons", "--n", OVER_GRAM_N, "--out", names["over_gram"])
     run("train", "--data", names["moons"], "--gamma", "1.5", "--out", names["moons_model"])
     run("train", "--data", iris_csv, "--label-column", "species", "--features", "sepal_width",
         "--gamma", "1", "--out", names["one_feature_model"])
@@ -286,7 +302,7 @@ def cli_work(tmp_path_factory, iris_csv) -> dict:
         write(f"moons_blank_{cell}", with_cell([*moons[:2], "", *moons[2:]], 4, 0, cell))
     # a test row is read, and refused, before the split
     dataset = load_csv(names["moons"], "label")
-    _, _, test, _ = exp.prepare(exp.ExperimentSpec(
+    _, _, test, _, _ = exp.prepare(exp.ExperimentSpec(
         dataset=exp.FileSpec(path=names["moons"]), gammas=(1.0,), seed=0))
     row = next(i for i, x in enumerate(dataset.features) if (x == test.features[0]).all())
     names["test_row"] = str(row + 2)
@@ -555,6 +571,7 @@ class TestTrainEvaluateBoundary:
     test_single_class_exits_2 = refusal_test("single-class")
     test_a_column_read_twice_in_the_header_exits_2 = refusal_test("column-read-twice")
     test_features_naming_the_label_exits_2 = refusal_test("features-name-the-label")
+    test_rows_above_the_ceiling_exit_2 = refusal_test("rows-above-the-ceiling", by_case=True)
     test_missing_data_file_exits_4 = refusal_test("missing-data")
     test_evaluate_unknown_label_exits_2 = refusal_test("unknown-label")
     test_missing_model_file_exits_4 = refusal_test("missing-model")
@@ -846,7 +863,7 @@ class TestSweepCli:
     def test_sweep_model_files_score_their_source_csv(self, capsys, file_sweep):
         csv, _, out_dir = file_sweep
         report = json.loads((out_dir / "report.json").read_text())
-        _, train, test, _ = exp.prepare(exp.spec_from_dict(report["spec"]))
+        _, train, test, _, _ = exp.prepare(exp.spec_from_dict(report["spec"]))
         n = train.n_samples + test.n_samples
         for row in report["rows"]:
             model_path = out_dir / f"model_gamma_{row['gamma']!r}.json"

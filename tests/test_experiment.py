@@ -10,7 +10,6 @@ from dsvkernel import experiment as exp
 from dsvkernel.data import LabeledDataset, SplitSpec, load_csv, make_circles, make_moons
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.kernel import KernelConfig
-from dsvkernel.kernel import sq_distances
 from dsvkernel.svm import (
     MulticlassModel,
     SvmConfig,
@@ -254,19 +253,18 @@ class TestSharedTrainingPath:
             dataset=exp.FileSpec(path=str(diabetes_csv), pca_components=2),
             gammas=(1.0,), standardize=True, seed=1,
         )
-        _, train, test, _ = exp.prepare(spec)
+        _, train, test, _, sq = exp.prepare(spec)
         m = train.n_samples
         assert m == 537
         tracemalloc.start()
         try:
-            sq = sq_distances(train.features, train.features)
             exp.fit_and_score(train, test, SvmConfig(kernel=KernelConfig.direct(1.0)), sq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the distances, then one Gram or the training score's gather at a
-        # time; one more m x m copy of either would pass 3 m^2 doubles
-        assert peak < 2.5 * m * m * 8
+        # beside the distances prepare made, one Gram or the training score's
+        # gather at a time; one more m x m copy of either would pass 2 m^2 doubles
+        assert peak < 1.5 * m * m * 8
 
 
 def _box(features):
@@ -357,16 +355,6 @@ class TestBoundaryGrid:
         y = np.array([1.0, -1.0])
         config = SvmConfig(c=10.0, tol=1e-8, kernel=KernelConfig.direct(1.0))
         return one_machine(train_binary(X, y, config))
-
-    def test_lattice_sq_distances_match_the_generic_helper(self):
-        rng = np.random.default_rng(5)
-        xs = np.linspace(-2.3, 1.7, 17)
-        ys = np.linspace(-0.9, 3.1, 11)
-        sv = rng.normal(size=(13, 2))
-        sv[4] = (xs[3], ys[8])  # a support vector on a lattice point
-        grid = np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-        lattice = exp.lattice_sq_distances(xs, ys, sv)
-        assert lattice.tobytes() == sq_distances(grid, sv).tobytes()
 
     def test_resolution_two_hits_padded_corners(self, tmp_path):
         model = self._binary_model()

@@ -94,7 +94,7 @@ def test_labels_of_one_sign_are_rejected(sign):
 def _pair_machines(spec):
     """(Gram, +/-1 labels) of every one-vs-one machine of a sweep over the
     default grid, built as `svm.train_multiclass` builds them."""
-    _, train, _, _ = prepare(spec)
+    _, train, _, _, _ = prepare(spec)
     labels = np.asarray(train.labels)
     for gamma in DEFAULT_GAMMA_GRID:
         for neg, pos in combinations(sorted(np.unique(labels)), 2):
