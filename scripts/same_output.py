@@ -114,6 +114,11 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--out", "sweep-spirals"]),
         ("sweep-circles", ["sweep", "--dataset", "circles", "--n", "120", "--radius-ratio",
                            "0.4", "--seed", "2", "--out", "sweep-circles"]),
+        ("sweep-iris", ["sweep", *TRAIN_FLAGS["iris"], "--seed", "3", "--out", "sweep-iris"]),
+        ("kernel-eval-gamma", ["kernel", "eval", "--xp", "0.3,-1.2", "--xq", "1.1,0.4",
+                               "--gamma", "1.5"]),
+        ("kernel-eval-squeeze", ["kernel", "eval", "--xp", "0.3,-1.2", "--xq", "1.1,0.4",
+                                 "--r", "0.3", "--theta", "0.2"]),
     ]
     return cmds
 

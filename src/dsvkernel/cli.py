@@ -70,7 +70,7 @@ def _kernel_config(args) -> KernelConfig:
     if args.gamma is not None and args.r is not None:
         raise DsvKernelError("give either --gamma or --r/--theta, not both")
     if args.gamma is not None:
-        return KernelConfig.direct(args.gamma)
+        return KernelConfig(args.gamma)
     if args.r is not None:
         return KernelConfig.from_squeeze(SqueezeParams(args.r, **_given(args, "theta")))
     raise DsvKernelError("a kernel needs --gamma or --r (with optional --theta)")
@@ -165,13 +165,13 @@ def _cmd_kernel_gram(args) -> None:
     fingerprint = data_fingerprint(dataset.features)
     out = Path(args.out)
     # two "#" header lines, then one line of repr floats per row, streamed
-    header = f"# gamma={gram_matrix.gamma!r}\n# fingerprint={fingerprint}\n"
+    header = f"# gamma={config.gamma!r}\n# fingerprint={fingerprint}\n"
     rows = (",".join(map(repr, row.tolist())) + "\n" for row in gram_matrix.values)
     atomic_write_text(out, chain([header], rows))
     payload = {
         "out": str(out),
         "size": gram_matrix.size,
-        "gamma": gram_matrix.gamma,
+        "gamma": config.gamma,
         "fingerprint": fingerprint,
     }
     if args.validate:

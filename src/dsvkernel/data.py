@@ -346,13 +346,21 @@ def field_dict(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
+def _check_finite(owner: str, **arrays) -> None:
+    """Refuse a ``nan`` or infinite entry in any of ``arrays``, naming its field."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"{owner}: {name} holds a non-finite number")
+
+
 @dataclass(frozen=True)
 class PcaModel:
     """Mean vector plus orthonormal principal directions (rows) with their
     variances, sorted by decreasing variance.
 
     Sign convention: the largest-magnitude coordinate of each component is
-    positive (first occurrence wins on exact magnitude ties).
+    positive (first occurrence wins on exact magnitude ties).  A non-finite
+    entry in any field raises :class:`InvalidInputError` before any arithmetic.
     """
 
     mean: np.ndarray
@@ -360,17 +368,18 @@ class PcaModel:
     explained_variance: np.ndarray
 
     def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        gram_err = np.max(np.abs(comps @ comps.T - np.eye(comps.shape[0])))
-        if gram_err > 1e-10:
-            raise InvalidInputError(f"components not orthonormal (error {gram_err:.2e})")
-        ev = np.asarray(self.explained_variance, dtype=float)
-        if np.any(ev < 0.0) or np.any(np.diff(ev) > 0.0):
-            raise InvalidInputError("explained_variance must be non-negative, non-increasing")
-        for name, arr in (("mean", self.mean), ("components", comps), ("explained_variance", ev)):
-            a = np.array(arr, dtype=float)
+        for name, value in field_dict(self).items():
+            a = np.array(value, dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        _check_finite("PCA model", **field_dict(self))
+        comps, ev = self.components, self.explained_variance
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
+            gram_err = np.max(np.abs(comps @ comps.T - np.eye(comps.shape[0])))
+        if not gram_err <= 1e-10:
+            raise InvalidInputError(f"components not orthonormal (error {gram_err:.2e})")
+        if np.any(ev < 0.0) or np.any(np.diff(ev) > 0.0):
+            raise InvalidInputError("explained_variance must be non-negative, non-increasing")
 
     def to_dict(self) -> dict:
         return {name: np.asarray(value).tolist() for name, value in field_dict(self).items()}
@@ -423,12 +432,18 @@ class ColumnScaler:
     """Per-column affine map to zero mean and unit variance.
 
     Constant columns (std at or below the relative floor) are flagged and
-    passed through untouched.
+    passed through untouched.  A non-finite mean or scale, or a scale that
+    is not positive, raises :class:`InvalidInputError` before any arithmetic.
     """
 
     mean: np.ndarray
     scale: np.ndarray
     constant_columns: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_finite("scaler", mean=self.mean, scale=self.scale)
+        if not (np.asarray(self.scale) > 0.0).all():
+            raise InvalidInputError("scaler: scale holds a number that is not positive")
 
     def to_dict(self) -> dict:
         return {name: np.asarray(value).tolist() for name, value in field_dict(self).items()}

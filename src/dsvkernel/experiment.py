@@ -253,8 +253,6 @@ class ExperimentReport:
     dataset_provenance: dict
     selected_gamma: float
     models: dict = field(default_factory=dict, repr=False)
-    #: model-file fields from :func:`prepare`, written into every model file
-    replay: dict = field(default_factory=dict, repr=False)
 
     def baseline_row(self) -> ExperimentRow:
         return next(r for r in self.rows if r.is_baseline)
@@ -279,7 +277,8 @@ class ExperimentReport:
         }
 
 
-def write_report(report: ExperimentReport, out_dir) -> Path:
+def write_report(report: ExperimentReport, out_dir, replay: dict) -> Path:
+    """``report.json`` and a model file per gamma, each with ``replay`` from :func:`prepare`."""
     out_dir = Path(out_dir)
     path = out_dir / "report.json"
     atomic_write_text(path, pretty_json(report.to_json_dict()) + "\n")
@@ -287,7 +286,7 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
         save_model(
             out_dir / f"model_gamma_{gamma!r}.json",
             model,
-            extra={**report.replay, "spec_hash": report.spec.spec_hash()},
+            extra={**replay, "spec_hash": report.spec.spec_hash()},
         )
     return path
 
@@ -333,7 +332,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
     rows = []
     models = {}
     for gamma in gammas:
-        config = spec.svm_config(KernelConfig.direct(gamma))
+        config = spec.svm_config(KernelConfig(gamma))
         model, row = fit_and_score(train_ds, test_ds, config, sq)
         rows.append(row)
         models[gamma] = model
@@ -344,10 +343,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentReport:
         dataset_provenance=dataset.provenance,
         selected_gamma=select_gamma(rows),
         models=models,
-        replay=replay,
     )
     if out_dir is not None:
-        write_report(report, out_dir)
+        write_report(report, out_dir, replay)
     return report
 
 

@@ -163,12 +163,16 @@ def squeezed_vacuum_tail_mass(r: float, cutoff: int) -> float:
 
     The exact number distribution is p_{2n} = (2n)!/(4^n n!^2) tanh(r)^{2n}
     / cosh(r) on even states and zero on odd ones; the partial sum is
-    accumulated with the stable ratio recurrence.
+    accumulated with the stable ratio recurrence.  Where cosh(r) overflows
+    (|r| above about 710.5) p_0 is 0 to double precision, so the mass is 1.
     """
     if r == 0.0:
         return 0.0
+    try:
+        p = 1.0 / math.cosh(r)
+    except OverflowError:
+        return 1.0
     t2 = math.tanh(r) ** 2
-    p = 1.0 / math.cosh(r)
     total = 0.0
     n = 0
     while 2 * n < cutoff:

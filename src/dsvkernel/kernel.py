@@ -62,23 +62,20 @@ def check_gamma(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel hyperparameter, either set directly or derived from
-    squeezing parameters (kept for provenance)."""
+    """Gaussian kernel width: ``KernelConfig(gamma)`` sets it directly, and
+    :meth:`from_squeeze` derives it from squeezing parameters, kept for
+    provenance.  ``gamma`` is stored as the float :func:`check_gamma` returns."""
 
     gamma: float
     squeeze: SqueezeParams | None = None
 
     def __post_init__(self):
-        check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", check_gamma(self.gamma))
         if self.squeeze is not None and self.gamma != gamma_from_squeeze(self.squeeze):
             raise InvalidInputError(
                 "gamma does not match its squeeze parameters; "
                 "use KernelConfig.from_squeeze"
             )
-
-    @classmethod
-    def direct(cls, gamma: float) -> "KernelConfig":
-        return cls(gamma=float(gamma))
 
     @classmethod
     def from_squeeze(cls, eta: SqueezeParams) -> "KernelConfig":
@@ -94,7 +91,7 @@ class KernelConfig:
     def from_dict(cls, d: dict) -> "KernelConfig":
         if d.get("squeeze") is not None:
             return cls.from_squeeze(SqueezeParams(d["squeeze"]["r"], d["squeeze"]["theta"]))
-        return cls.direct(d["gamma"])
+        return cls(d["gamma"])
 
 
 def kernel_scalar(xp: float, xq: float, gamma: float) -> float:
@@ -133,10 +130,9 @@ def data_fingerprint(data: np.ndarray) -> str:
 @dataclass(frozen=True)
 class GramMatrix:
     """Pairwise kernel values over one dataset, as :func:`gram` builds them;
-    a plain record that checks nothing itself."""
+    a plain record that checks nothing itself.  The width is the caller's."""
 
     values: np.ndarray
-    gamma: float
 
     @property
     def size(self) -> int:
@@ -152,25 +148,34 @@ def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
     return data
 
 
+#: Rows of ``a`` whose coordinate differences :func:`sq_distances` holds at a time.
+SQ_BLOCK_ROWS = 1024
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` (m x d) and ``b``
     (n x d) as an m x n array.
 
     ``(a[:, k] - b[:, k])^2`` is added over k in order, as scipy's
-    ``sqeuclidean`` distance does, with at most one m x n temporary.  A
-    distance that overflows is +inf, without a warning, so :func:`gaussian`
-    gives exactly 0 for it.
+    ``sqeuclidean`` distance does.  Coordinate 0 is written into the result;
+    each later one goes through a temporary of at most ``SQ_BLOCK_ROWS`` x n
+    doubles, one block of rows at a time.  A distance that overflows is
+    +inf, without a warning, so :func:`gaussian` gives exactly 0 for it.
     """
     if a.shape[1] == 0:
         return np.zeros((len(a), len(b)))
     with np.errstate(over="ignore"):
         out = np.subtract.outer(a[:, 0], b[:, 0])
         out *= out
-        diff = np.empty_like(out)
-        for k in range(1, a.shape[1]):
-            np.subtract.outer(a[:, k], b[:, k], out=diff)
-            diff *= diff
-            out += diff
+        diff = np.empty((min(len(a), SQ_BLOCK_ROWS), len(b)))
+        for start in range(0, len(a), SQ_BLOCK_ROWS):
+            rows = slice(start, start + SQ_BLOCK_ROWS)
+            block = out[rows]
+            block_diff = diff[:len(block)]
+            for k in range(1, a.shape[1]):
+                np.subtract.outer(a[rows, k], b[:, k], out=block_diff)
+                block_diff *= block_diff
+                block += block_diff
     return out
 
 
@@ -183,7 +188,7 @@ def gaussian(sq: np.ndarray, gamma: float) -> np.ndarray:
 
 
 #: Most rows of an m x m array (:func:`gram_distances`): 800 MB at 10,000, where a 10-gamma
-#: moons ``sweep`` takes 11 s and 1.7 GB peak RSS (2-vCPU Xeon), ``kernel gram`` 110 s, 1.6 GB.
+#: moons ``sweep`` takes 9 s and 1.7 GB peak RSS (2-vCPU Xeon), ``kernel gram`` 66 s, 0.9 GB.
 MAX_GRAM_ROWS = 10_000
 
 
@@ -218,7 +223,7 @@ def gram(data: np.ndarray, gamma: float, sq: np.ndarray | None = None) -> GramMa
     sq = gram_distances(data) if sq is None else sq.copy()
     values = gaussian(sq, gamma)
     values.setflags(write=False)
-    return GramMatrix(values=values, gamma=gamma)
+    return GramMatrix(values=values)
 
 
 def gram_cross(train: np.ndarray, test: np.ndarray, gamma: float) -> np.ndarray:

@@ -195,7 +195,7 @@ def test_criterion_5_svm_matches_bruteforce_qp():
         gamma = float(rng.uniform(0.3, 3.0))
         c = float(rng.choice([0.5, 1.0, 10.0]))
         g = gram(features, gamma)
-        config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig.direct(gamma))
+        config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig(gamma))
         model = train_binary(features, labels, config)
         alpha = np.zeros(m)
         alpha[model.support_indices] = np.abs(model.dual_coef)

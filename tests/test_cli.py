@@ -60,6 +60,17 @@ def _support_vector_width(n_columns):
     return edit
 
 
+def _replayed(kind, **fields):
+    """An edit whose preprocessing is one 2-wide ``standardize`` or ``pca``
+    entry: the identity map, with ``fields`` in place of its own."""
+    if kind == "standardize":
+        record = {"mean": [0.0, 0.0], "scale": [1.0, 1.0], "constant_columns": [], **fields}
+        return _edit("preprocessing", value=[{"kind": kind, "scaler": record}])
+    record = {"mean": [0.0, 0.0], "components": [[1.0, 0.0], [0.0, 1.0]],
+              "explained_variance": [1.0, 1.0], **fields}
+    return _edit("preprocessing", value=[{"kind": kind, "model": record}])
+
+
 #: Model files that ``evaluate`` and ``boundary`` refuse, by family and case:
 #: (the file's text, or an edit of the trained moons model's document, and
 #: the error the refusal names).  ``boundary`` does not read ``label_names``.
@@ -69,6 +80,8 @@ BAD_MODELS = {
                                   "enclosed in double quotes: line 1 column 2 (char 1)"),
         "version-1": ('{"version": 1}', "unsupported model version: 1; retrain to write version 2"),
         "no-kernel": ('{"version": 2}', "malformed model: KeyError: 'kernel'"),
+        "string-gamma": (_edit("kernel", "gamma", value="1.5"),
+                         "malformed model: TypeError: must be real number, not str"),
     },
     "malformed-replay": {
         "standardize-no-scaler": (_edit("preprocessing", value=[{"kind": "standardize"}]),
@@ -86,6 +99,18 @@ BAD_MODELS = {
                                     "malformed preprocessing: TypeError: unhashable type: 'list'"),
         "label-names-not-a-list": (_edit("label_names", value=5), "malformed label_names: "
                                    "TypeError: 'int' object is not iterable"),
+        "standardize-zero-scale": (_replayed("standardize", scale=[0.0, 1.0]),
+                                   "scaler: scale holds a number that is not positive"),
+        "standardize-inf-mean": (_replayed("standardize", mean=[math.inf, 0.0]),
+                                 "scaler: mean holds a non-finite number"),
+        "pca-huge-components": (_replayed("pca", components=[[1e308, 0.0], [0.0, 1.0]]),
+                                "components not orthonormal (error inf)"),
+        "pca-inf-mean": (_replayed("pca", mean=[math.inf, 0.0]),
+                         "PCA model: mean holds a non-finite number"),
+        "pca-nan-components": (_replayed("pca", components=[[math.nan, 0.0], [0.0, 1.0]]),
+                               "PCA model: components holds a non-finite number"),
+        "pca-nan-explained-variance": (_replayed("pca", explained_variance=[math.nan, 1.0]),
+                                       "PCA model: explained_variance holds a non-finite number"),
     },
     "one-vs-one": {
         "no-machines": (_edit("machines", value=[]),
@@ -187,6 +212,11 @@ REFUSALS = {
         "simulate overlap --xq 0 --xp 0 --r 5", 2,
         "error: squeezing r = 5 leaves 0.914 probability mass above the cutoff 64; "
         "no cutoff holds it"),
+    **{f"no-cutoff-holds/squeeze-overflow/{case}": (
+        f"simulate overlap --xq 0 --xp 1 --r={r}", 2,
+        "error: squeezing r = 711 leaves 1 probability mass above the cutoff 64; "
+        "no cutoff holds it")
+       for case, r in (("positive", "711"), ("negative", "-711"))},
     "no-cutoff-holds/displacement": (
         "simulate overlap --xq 0 --xp 20 --r 0", 2,
         "error: |x|^2 = 400 exceeds cutoff/4 = 16; no cutoff holds it"),

@@ -310,6 +310,19 @@ class TestPca:
         for name in ("mean", "components", "explained_variance"):
             assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean", [math.inf, 0.0], "PCA model: mean holds a non-finite number"),
+        ("components", [[math.nan, 0.0]], "PCA model: components holds a non-finite number"),
+        ("explained_variance", [math.nan], "PCA model: explained_variance holds a non-finite"),
+        ("components", [[1e308, 0.0]], r"components not orthonormal \(error inf\)"),
+    ], ids=["inf-mean", "nan-components", "nan-explained-variance", "huge-components"])
+    def test_bad_numbers_refused_before_arithmetic(self, field, value, message):
+        fields = {"mean": [0.0, 0.0], "components": [[1.0, 0.0]], "explained_variance": [1.0],
+                  field: value}
+        with pytest.raises(InvalidInputError, match=message):
+            PcaModel(**{name: np.array(v) for name, v in fields.items()})
+
 
 class TestStandardize:
     def test_fixed_point(self):
@@ -360,6 +373,18 @@ class TestStandardize:
         assert again.mean.tobytes() == scaler.mean.tobytes()
         assert again.scale.tobytes() == scaler.scale.tobytes()
         assert again.constant_columns == scaler.constant_columns
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean", [math.nan, 0.0], "scaler: mean holds a non-finite number"),
+        ("scale", [1.0, math.inf], "scaler: scale holds a non-finite number"),
+        ("scale", [1.0, 0.0], "scaler: scale holds a number that is not positive"),
+        ("scale", [-2.0, 1.0], "scaler: scale holds a number that is not positive"),
+    ], ids=["nan-mean", "inf-scale", "zero-scale", "negative-scale"])
+    def test_bad_numbers_refused(self, field, value, message):
+        fields = {"mean": [0.0, 0.0], "scale": [1.0, 1.0], field: value}
+        with pytest.raises(InvalidInputError, match=message):
+            ColumnScaler(mean=np.array(fields["mean"]), scale=np.array(fields["scale"]),
+                         constant_columns=())
 
 
 class TestSplit:

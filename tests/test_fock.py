@@ -299,6 +299,10 @@ class TestSqueeze:
         masses = [squeezed_vacuum_tail_mass(0.9, n) for n in (16, 32, 64)]
         assert masses[0] > masses[1] > masses[2] >= 0.0
 
+    @pytest.mark.parametrize("r", [711.0, -711.0, 1e300])
+    def test_tail_mass_is_one_where_cosh_overflows(self, r):
+        assert squeezed_vacuum_tail_mass(r, 64) == 1.0
+
 
 class TestDsvState:
     def test_vacuum_case(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from dsvkernel import cli
+from dsvkernel import cli, kernel
 from dsvkernel.errors import InvalidDimensionError, InvalidInputError
 from dsvkernel.fock import SqueezeParams, circuit_kernel
 from dsvkernel.kernel import (
@@ -175,7 +176,10 @@ class TestKernelVec:
 
 class TestKernelConfig:
     def test_direct(self):
-        assert KernelConfig.direct(0.8).gamma == 0.8
+        assert KernelConfig(0.8).gamma == 0.8
+        # the constructor stores the float check_gamma returns
+        assert type(KernelConfig(2).gamma) is float
+        assert type(KernelConfig(np.float64(0.5)).gamma) is float
 
     def test_from_squeeze_consistency(self):
         eta = SqueezeParams(0.25, 0.0)
@@ -188,14 +192,14 @@ class TestKernelConfig:
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(InvalidInputError):
-            KernelConfig.direct(0.0)
+            KernelConfig(0.0)
 
     def test_dict_roundtrip(self):
         eta = SqueezeParams(0.25, 1.0)
         config = KernelConfig.from_squeeze(eta)
         again = KernelConfig.from_dict(config.to_dict())
         assert again == config
-        direct = KernelConfig.direct(1.5)
+        direct = KernelConfig(1.5)
         assert KernelConfig.from_dict(direct.to_dict()) == direct
 
 
@@ -225,6 +229,25 @@ class TestSqDistances:
         sq = sq_distances(both, both)
         assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()
         assert sq_distances(a, b).tobytes() == np.ascontiguousarray(sq_distances(b, a).T).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_row_blocks_change_no_bit(self, d, monkeypatch):
+        a, b = self._draws(d, np.random.default_rng(200 + d))
+        whole = sq_distances(a, b)
+        monkeypatch.setattr(kernel, "SQ_BLOCK_ROWS", 7)  # 40 rows: five full blocks and one of 5
+        assert sq_distances(a, b).tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_the_result_and_one_block(self):
+        m = 4000
+        x = np.random.default_rng(5).normal(size=(m, 2))
+        tracemalloc.start()
+        try:
+            sq = sq_distances(x, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sq.shape == (m, m)
+        assert peak < 1.3 * m * m * 8  # one m x m result plus a 1,024-row block
 
 
 class TestGram:

@@ -41,7 +41,7 @@ MACHINE_FIELDS = {"pair", "support_indices", "alpha_y", "support_vectors", "bias
 
 
 def _train(X, y, gamma=1.0, c=1.0, tol=1e-8):
-    config = SvmConfig(c=c, tol=tol, max_passes=200, kernel=KernelConfig.direct(gamma))
+    config = SvmConfig(c=c, tol=tol, max_passes=200, kernel=KernelConfig(gamma))
     return train_binary(X, y, config)
 
 
@@ -161,13 +161,13 @@ class TestTrainBinary:
     def test_iris_converges_across_c(self, iris_csv, c):
         raw = load_csv(iris_csv, "species")
         data = standardize_apply(standardize_fit(raw), raw)
-        config = SvmConfig(c=c, kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(c=c, kernel=KernelConfig(1.0))
         model = train_multiclass(data, config)
         assert all(machine.converged for _, machine in model.machines)
 
     def test_label_values_validated(self):
         X = np.array([[0.0], [1.0]])
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         with pytest.raises(InvalidInputError):
             train_binary(X, np.array([1.0, 2.0]), config)
 
@@ -189,7 +189,7 @@ class TestTrainBinary:
         gamma = float(rng.uniform(0.3, 2.0))
         c = float(rng.choice([0.5, 1.0, 10.0]))
         g = gram(X, gamma)
-        config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig.direct(gamma))
+        config = SvmConfig(c=c, tol=1e-8, max_passes=200, kernel=KernelConfig(gamma))
         model = train_binary(X, y, config)
         alpha = np.zeros(m)
         alpha[model.support_indices] = np.abs(model.dual_coef)
@@ -246,7 +246,7 @@ class TestBatchInvariance:
         labels[:n_classes] = np.arange(n_classes)
         train = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
                                label_names=tuple("abc"[:n_classes]), provenance={})
-        model = train_multiclass(train, SvmConfig(kernel=KernelConfig.direct(gamma)))
+        model = train_multiclass(train, SvmConfig(kernel=KernelConfig(gamma)))
         batch = rng.normal(scale=2.0, size=(1000, 2))
         start = data.draw(st.integers(min_value=0, max_value=999))
         stop = data.draw(st.integers(min_value=start + 1, max_value=1000))
@@ -284,7 +284,7 @@ class TestSharedDistances:
         labels = np.concatenate([labels, labels[copies[:n_duplicates]], flipped])
         data = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
                               label_names=tuple("abc"[:n_classes]), provenance={})
-        config = SvmConfig(kernel=KernelConfig.direct(10.0 ** log_gamma))
+        config = SvmConfig(kernel=KernelConfig(10.0 ** log_gamma))
         sq = sq_distances(X, X)
         before = sq.copy()
         model = train_multiclass(data, config, sq)
@@ -303,7 +303,7 @@ class TestSharedDistances:
 
     def test_distances_must_fit_the_rows(self):
         data = _blobs()
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         with pytest.raises(InvalidDimensionError, match="squared distances"):
             train_multiclass(data, config, np.zeros((3, 3)))
         X = data.features[:4]
@@ -327,33 +327,33 @@ class TestPredictBinary:
 class TestMulticlass:
     def test_two_classes_single_machine(self):
         data = _blobs(centers=((0.0, 0.0), (4.0, 4.0)))
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         model = train_multiclass(data, config)
         assert len(model.machines) == 1
         assert model.machines[0][0] == (0, 1)
 
     def test_three_classes_three_machines(self):
         data = _blobs()
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         model = train_multiclass(data, config)
         assert len(model.machines) == 3
         assert [pair for pair, _ in model.machines] == [(0, 1), (0, 2), (1, 2)]
 
     def test_separable_blobs_perfect_training_accuracy(self):
         data = _blobs()
-        config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
+        config = SvmConfig(c=10.0, kernel=KernelConfig(0.5))
         model = train_multiclass(data, config)
         assert accuracy(model, data) == 1.0
 
     def test_single_class_rejected(self):
         data = _blobs(centers=((0.0, 0.0),))
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         with pytest.raises(DegenerateLabelsError):
             train_multiclass(data, config)
 
     def test_unanimous_vote(self):
         data = _blobs()
-        config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
+        config = SvmConfig(c=10.0, kernel=KernelConfig(0.5))
         model = train_multiclass(data, config)
         assert predict_multiclass(model, np.array([4.0, 4.0])) == 1
 
@@ -373,7 +373,7 @@ class TestMulticlass:
 
     def test_deterministic_given_seed(self):
         data = _blobs(seed=5)
-        config = SvmConfig(kernel=KernelConfig.direct(1.0), tol=1e-6)
+        config = SvmConfig(kernel=KernelConfig(1.0), tol=1e-6)
         a = train_multiclass(data, config)
         b = train_multiclass(data, config)
         for (_, ma), (_, mb) in zip(a.machines, b.machines):
@@ -390,7 +390,7 @@ def _tie_model(alpha):
             dual_coef=np.array([alpha]),
             support_vectors=np.array([[0.0, 0.0]]),
             bias=bias,
-            kernel=KernelConfig.direct(1.0),
+            kernel=KernelConfig(1.0),
             converged=True,
             objective_history=(),
         )
@@ -408,13 +408,13 @@ def _tie_model(alpha):
 class TestAccuracy:
     def test_all_correct(self):
         data = _blobs(centers=((0.0, 0.0), (5.0, 5.0)))
-        config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
+        config = SvmConfig(c=10.0, kernel=KernelConfig(0.5))
         model = train_multiclass(data, config)
         assert accuracy(model, data) == 1.0
 
     def test_counts_are_exact_fractions(self):
         data = _blobs(centers=((0.0, 0.0), (5.0, 5.0)))
-        config = SvmConfig(c=10.0, kernel=KernelConfig.direct(0.5))
+        config = SvmConfig(c=10.0, kernel=KernelConfig(0.5))
         model = train_multiclass(data, config)
         flipped = LabeledDataset(
             features=data.features,
@@ -427,7 +427,7 @@ class TestAccuracy:
 
     def test_empty_dataset_rejected(self):
         data = _blobs()
-        config = SvmConfig(kernel=KernelConfig.direct(1.0))
+        config = SvmConfig(kernel=KernelConfig(1.0))
         model = train_multiclass(data, config)
         empty = LabeledDataset(
             features=np.zeros((0, 2)),
@@ -464,7 +464,7 @@ class TestSerialization:
 
     def test_multiclass_roundtrip(self, tmp_path):
         data = _blobs()
-        config = SvmConfig(kernel=KernelConfig.direct(0.8), tol=1e-6)
+        config = SvmConfig(kernel=KernelConfig(0.8), tol=1e-6)
         model = train_multiclass(data, config)
         path = tmp_path / "ovo.json"
         save_model(path, model)
@@ -478,7 +478,7 @@ class TestSerialization:
 
     def test_dict_roundtrip_without_files(self):
         data = _blobs(centers=((0.0, 0.0), (4.0, 4.0)))
-        config = SvmConfig(kernel=KernelConfig.direct(1.0), tol=1e-6)
+        config = SvmConfig(kernel=KernelConfig(1.0), tol=1e-6)
         model = train_multiclass(data, config)
         again = model_from_dict(model_to_dict(model))
         assert isinstance(again, MulticlassModel)
@@ -491,7 +491,7 @@ class TestSerialization:
 def _machine(n_coef=1, support_vectors=((0.0, 0.0),)):
     return SvmModel(
         support_indices=np.arange(n_coef), dual_coef=np.ones(n_coef),
-        support_vectors=np.array(support_vectors), bias=0.0, kernel=KernelConfig.direct(1.0),
+        support_vectors=np.array(support_vectors), bias=0.0, kernel=KernelConfig(1.0),
         converged=True, objective_history=(),
     )
 
@@ -551,7 +551,7 @@ class TestEdgeGammaProperties:
         labels[:2] = (0, 1)
         data = LabeledDataset(features=X, labels=labels, feature_names=("x1", "x2"),
                               label_names=("a", "b"), provenance={})
-        model = train_multiclass(data, SvmConfig(c=c, kernel=KernelConfig.direct(gamma)))
+        model = train_multiclass(data, SvmConfig(c=c, kernel=KernelConfig(gamma)))
         [((neg, pos), machine)] = model.machines
         assert np.all(np.abs(machine.dual_coef) > 0.0)
         assert np.all(np.abs(machine.dual_coef) <= c)
