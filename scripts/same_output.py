@@ -57,6 +57,15 @@ def commands() -> list[tuple[str, list[str]]]:
                               "--r", "0.5", "--theta", "0.1"]),
         ("simulate-overlap-outside-box", ["simulate", "overlap", "--xp", "9", "--xq", "-9",
                                           "--r", "1.5"]),
+        # the widening form (gamma 0.25), gamma 0.1 at cutoff 128, and r = -0
+        ("simulate-overlap-widening", ["simulate", "overlap", "--xp", "0.3", "--xq", "-0.2",
+                                       "--r", "0.6931471805599453",
+                                       "--theta", "1.5707963267948966"]),
+        ("simulate-overlap-cutoff-128", ["simulate", "overlap", "--xp", "0.3", "--xq", "-0.2",
+                                         "--r", "1.1512925464970227",
+                                         "--theta", "1.5707963267948966", "--cutoff", "128"]),
+        ("simulate-overlap-negative-zero", ["simulate", "overlap", "--xp", "0.3", "--xq", "-0.2",
+                                            "--r=-0"]),
         ("data-generate-moons", ["data", "generate", "--dataset", "moons", "--n", "300",
                                  "--seed", "1", "--out", "moons.csv"]),
         ("data-generate-circles", ["data", "generate", "--dataset", "circles", "--n", "200",

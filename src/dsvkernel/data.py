@@ -458,11 +458,19 @@ class ColumnScaler:
 
 
 def standardize_fit(data: LabeledDataset) -> ColumnScaler:
-    """Column statistics from this dataset only (fit on the training split)."""
+    """Column statistics from this dataset only (fit on the training split).
+    A column whose mean or standard deviation overflows raises
+    :class:`InvalidInputError` naming it."""
     if data.n_samples < 2:
         raise InvalidInputError("standardization needs at least 2 samples")
-    mean = data.features.mean(axis=0)
-    std = data.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.features.mean(axis=0)
+        std = data.features.std(axis=0)
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflowed.any():
+        name = data.feature_names[int(np.argmax(overflowed))]
+        raise InvalidInputError(
+            f"standardization: the mean or standard deviation of column '{name}' overflows")
     floor = CONSTANT_COLUMN_STD * np.maximum(1.0, np.abs(mean))
     constant = std <= floor
     out_mean = np.where(constant, 0.0, mean)

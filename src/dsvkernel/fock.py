@@ -42,13 +42,18 @@ the 16 pairs with xp, xq in {-3, -1.7, 0.4, 3} is:
     0.25     64     6.1e-8
     others  64/128  <= 6.1e-14
 
-Operators and states are plain complex numpy arrays.  Every function is
-pure and each call returns a fresh array, so results are safe to share
-across threads.
+Operators and states are plain complex numpy arrays.  Every public
+function returns a fresh array or a float.  One bounded cache is kept:
+:func:`circuit_kernel` reads the squeezed vacuum S|0> of each (r, theta,
+cutoff) from :func:`_squeezed_vacuum`, whose at most
+``SQUEEZED_VACUUM_CACHE_SIZE`` = 64 read-only states take at most 512 KiB.
+Since the cached states cannot be written, results are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +75,11 @@ MAX_CUTOFF = 1024
 #: Squeezing is rejected when the squeezed vacuum would lose more than this
 #: much probability mass to truncation.
 TAIL_MASS_LIMIT = 1e-9
+
+#: Entries of the squeezed-vacuum cache of :func:`circuit_kernel`.  An entry
+#: holds ceil(cutoff / 2) complex doubles, 8 KiB at MAX_CUTOFF, so the cache
+#: holds at most 512 KiB.
+SQUEEZED_VACUUM_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -224,6 +234,22 @@ def squeeze(eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     return s
 
 
+@functools.lru_cache(maxsize=SQUEEZED_VACUUM_CACHE_SIZE)
+def _squeezed_vacuum(r: float, theta: float, cutoff: int) -> np.ndarray:
+    """U^-1 S|0> on the even states |2k> of :func:`circuit_kernel`, as a
+    read-only array; cached per (r, theta, cutoff), where r = -0.0 and 0.0
+    share a key and give the same bits.  T = W diag(mu) W' is the tridiagonal
+    even block of the squeeze generator, and U^-1 P = diag((-i e^{2i theta})^k).
+    """
+    # eigh reads only the lower triangle, so one diagonal stands for T
+    n = np.arange(2.0, cutoff, 2.0)
+    mu, w = np.linalg.eigh(np.diag(0.5 * r * np.sqrt(n * (n - 1.0)), -1))
+    k = np.arange(w.shape[0])
+    phi = np.exp(1j * (2.0 * theta - 0.5 * math.pi) * k) * (w @ (np.exp(1j * mu) * w[0]))
+    phi.setflags(write=False)
+    return phi
+
+
 def circuit_kernel(
     xp: float, xq: float, eta: SqueezeParams, cutoff: int = DEFAULT_CUTOFF
 ) -> float:
@@ -242,7 +268,10 @@ def circuit_kernel(
     exp((xq - xp)(a_dagger - a)), so the amplitude is
     sum_k |c_k|^2 e^{i (xq - xp) lam_k} with c = V' U^-1 S0.  Rejected by the
     checks of those operators in the same order: finite inputs, cutoff, tail
-    mass, xp, then xq.  Nothing is kept between calls.
+    mass, xp, then xq.  Only after those checks is U^-1 S0 read from
+    :func:`_squeezed_vacuum`, the one bounded cache of read-only states
+    (``SQUEEZED_VACUUM_CACHE_SIZE`` entries); the eigendecomposition of X is
+    computed on every call.
     """
     xp = float(xp)
     xq = float(xq)
@@ -252,13 +281,9 @@ def circuit_kernel(
     _check_tail_mass(eta, cutoff)
     _check_displacement(xp, cutoff)
     _check_displacement(xq, cutoff)
-    # eigh reads only the lower triangle, so one diagonal stands for T and X
-    n = np.arange(2.0, cutoff, 2.0)
-    mu, w = np.linalg.eigh(np.diag(0.5 * eta.r * np.sqrt(n * (n - 1.0)), -1))
+    phi = _squeezed_vacuum(eta.r, eta.theta, cutoff)
+    # eigh reads only the lower triangle, so one diagonal stands for X
     lam, v = np.linalg.eigh(np.diag(root, -1))
-    # U^-1 S0 on the even states |2k>, where U^-1 P = diag((-i e^{2i theta})^k)
-    k = np.arange(w.shape[0])
-    phi = np.exp(1j * (2.0 * eta.theta - 0.5 * math.pi) * k) * (w @ (np.exp(1j * mu) * w[0]))
     amp = np.abs(v[::2].T @ phi) ** 2 @ np.exp(1j * (xq - xp) * lam)
     prob = float(abs(amp) ** 2)
     return min(1.0, max(0.0, prob))

@@ -54,7 +54,11 @@ def gamma_from_squeeze(eta: SqueezeParams) -> float:
 
 
 def check_gamma(gamma: float) -> float:
-    """``gamma`` as a float; rejects zero, negative and non-finite widths."""
+    """``gamma`` as a float; rejects zero, negative and non-finite widths.  A
+    bool, which ``math.isfinite`` reads as 0 or 1, raises TypeError as a
+    string does."""
+    if isinstance(gamma, bool):
+        raise TypeError("must be real number, not bool")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
     return float(gamma)
@@ -89,8 +93,16 @@ class KernelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
-        if d.get("squeeze") is not None:
-            return cls.from_squeeze(SqueezeParams(d["squeeze"]["r"], d["squeeze"]["theta"]))
+        """Inverse of :meth:`to_dict`; a squeeze field that is not a JSON
+        number (a bool or a string, which ``float()`` would accept) raises
+        TypeError, as such a ``gamma`` does in :func:`check_gamma`."""
+        squeeze = d.get("squeeze")
+        if squeeze is not None:
+            r, theta = squeeze["r"], squeeze["theta"]
+            for value in (r, theta):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError(f"must be real number, not {type(value).__name__}")
+            return cls.from_squeeze(SqueezeParams(r, theta))
         return cls(d["gamma"])
 
 

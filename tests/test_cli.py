@@ -82,6 +82,12 @@ BAD_MODELS = {
         "no-kernel": ('{"version": 2}', "malformed model: KeyError: 'kernel'"),
         "string-gamma": (_edit("kernel", "gamma", value="1.5"),
                          "malformed model: TypeError: must be real number, not str"),
+        "bool-gamma": (_edit("kernel", "gamma", value=True),
+                       "malformed model: TypeError: must be real number, not bool"),
+        "bool-squeeze-r": (_edit("kernel", "squeeze", value={"r": True, "theta": 0.0}),
+                           "malformed model: TypeError: must be real number, not bool"),
+        "string-squeeze-r": (_edit("kernel", "squeeze", value={"r": "0.3", "theta": 0.0}),
+                             "malformed model: TypeError: must be real number, not str"),
     },
     "malformed-replay": {
         "standardize-no-scaler": (_edit("preprocessing", value=[{"kind": "standardize"}]),
@@ -257,6 +263,10 @@ REFUSALS = {
     "rows-above-the-ceiling/sweep-generator": (
         f"sweep --dataset moons --n {OVER_GRAM_N} --gamma 1 --out $out", 2,
         f"error: a Gram takes at most {MAX_GRAM_ROWS} rows, got {OVER_GRAM_TRAIN}"),
+    **{f"standardize-overflows/{command}": (
+        f"{command} --data $huge_column --gamma 1 {flags} --out $out", 2,
+        "error: standardization: the mean or standard deviation of column 'x1' overflows")
+       for command, flags in (("train", "--standardize"), ("sweep", "--pca 1"))},
     "missing-data": ("train --data $missing.csv --gamma 1.0 --out $out", 4,
                      "i/o error: [Errno 2] No such file or directory: '$missing.csv'"),
     # model replay
@@ -338,6 +348,9 @@ def cli_work(tmp_path_factory, iris_csv) -> dict:
     names["test_row"] = str(row + 2)
     write("moons_nan_test_row", with_cell(moons, row + 1, 0, "nan"))
     write("latin", b"a,b,label\n1,2,0\n3,4,\xff\xfe\n")
+    # finite cells whose column sum overflows
+    write("huge_column", "x1,x2,label\n" + "".join(
+        f"{1.53e308 if i % 2 else 1.7e308!r},{i / 10},{i % 2}\n" for i in range(40)))
     write("one_class", "a,b,label\n" + "\n".join(f"{i},{i},0" for i in range(10)) + "\n")
     write("dup_header", "a,a,b,label\n1,100,5,0\n2,200,6,1\n3,300,7,0\n4,400,8,1\n")
     write("hybrid", "\n".join([iris[0], iris[1], iris[61].rsplit(",", 1)[0] + ",hybrid"]))
@@ -602,6 +615,7 @@ class TestTrainEvaluateBoundary:
     test_a_column_read_twice_in_the_header_exits_2 = refusal_test("column-read-twice")
     test_features_naming_the_label_exits_2 = refusal_test("features-name-the-label")
     test_rows_above_the_ceiling_exit_2 = refusal_test("rows-above-the-ceiling", by_case=True)
+    test_standardize_overflow_exits_2 = refusal_test("standardize-overflows", by_case=True)
     test_missing_data_file_exits_4 = refusal_test("missing-data")
     test_evaluate_unknown_label_exits_2 = refusal_test("unknown-label")
     test_missing_model_file_exits_4 = refusal_test("missing-model")

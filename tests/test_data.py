@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,6 +349,20 @@ class TestStandardize:
         out = standardize_apply(scaler, data)
         assert np.array_equal(out.features[:, 1], feats[:, 1])
         assert abs(out.features[:, 0].mean()) <= 1e-12
+
+    @pytest.mark.parametrize("column", [
+        [1.53e308, 1.7e308] * 20,  # the sum, and so the mean, overflows
+        [1e308, -1e308] * 20,  # the mean is 0, the squared deviations overflow
+    ], ids=["mean", "std"])
+    def test_overflowing_column_refused_without_a_warning(self, column):
+        data = LabeledDataset(
+            features=np.column_stack([np.arange(40.0), column]), labels=np.zeros(40, dtype=int),
+            feature_names=("a", "b"), label_names=("0",), provenance={},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="deviation of column 'b' overflows"):
+                standardize_fit(data)
 
     def test_train_statistics_applied_to_test(self):
         train = LabeledDataset(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,9 +15,13 @@ from dsvkernel.errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
+from dsvkernel.experiment import DEFAULT_GAMMA_GRID
 from dsvkernel.fock import (
     MAX_CUTOFF,
+    SQUEEZED_VACUUM_CACHE_SIZE,
     SqueezeParams,
+    _min_squeeze_cutoff,
+    _squeezed_vacuum,
     circuit_kernel,
     displacement,
     ladder_ops,
@@ -475,3 +481,90 @@ class TestCircuitKernelAgainstOperatorProduct:
         ref = _outcome(circuit_kernel_reference, xp, xq, eta, cutoff)
         assert ref[0] is error
         assert _outcome(circuit_kernel, xp, xq, eta, cutoff) == ref
+
+
+#: (r, theta) of every default-grid width in its narrowing (theta = 0) and
+#: widening (theta = pi/2) form, and both signs of a zero magnitude.
+CACHE_KEYS = [(abs(math.log(g)) / 2.0, theta) for g in DEFAULT_GAMMA_GRID
+              for theta in (0.0, math.pi / 2)] + [(-0.0, 0.0), (0.0, 0.0)]
+
+
+class TestSqueezedVacuumCache:
+    """``circuit_kernel`` reads S|0> from a bounded cache; no bit may depend
+    on what the cache held before the call."""
+
+    @given(
+        st.sampled_from(CACHE_KEYS),
+        st.sampled_from(CACHE_KEYS),
+        st.sampled_from([64, 128]),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cache_changes_no_bit(self, key, other, cutoff, xp, xq):
+        eta = SqueezeParams(*key)
+        cutoff = max(cutoff, _min_squeeze_cutoff(eta.r))
+        _squeezed_vacuum.cache_clear()
+        cold = circuit_kernel(xp, xq, eta, cutoff)
+        assert circuit_kernel(xp, xq, eta, cutoff).hex() == cold.hex()
+        # a cache first filled by another key, possibly a shared one
+        _squeezed_vacuum.cache_clear()
+        circuit_kernel(0.0, 0.0, SqueezeParams(*other), max(cutoff, _min_squeeze_cutoff(other[0])))
+        assert circuit_kernel(xp, xq, eta, cutoff).hex() == cold.hex()
+        phi = _squeezed_vacuum(eta.r, eta.theta, cutoff)
+        with pytest.raises(ValueError, match="read-only"):
+            phi[0] = 0.0
+        assert abs(cold - circuit_kernel_reference(xp, xq, eta, cutoff)) <= 1e-12
+
+    def test_signed_zero_magnitudes_share_a_key(self):
+        _squeezed_vacuum.cache_clear()
+        cold = circuit_kernel(0.3, -0.4, SqueezeParams(0.0, 0.0), 64)
+        _squeezed_vacuum.cache_clear()
+        circuit_kernel(0.3, -0.4, SqueezeParams(-0.0, 0.0), 64)
+        assert circuit_kernel(0.3, -0.4, SqueezeParams(0.0, 0.0), 64).hex() == cold.hex()
+        info = _squeezed_vacuum.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
+    def test_size_is_the_stated_bound(self):
+        assert _squeezed_vacuum.cache_info().maxsize == SQUEEZED_VACUUM_CACHE_SIZE == 64
+        _squeezed_vacuum.cache_clear()
+        for k in range(SQUEEZED_VACUUM_CACHE_SIZE + 6):
+            circuit_kernel(0.0, 0.5, SqueezeParams(0.001 * k, 0.0), 8)
+        assert _squeezed_vacuum.cache_info().currsize == SQUEEZED_VACUUM_CACHE_SIZE
+
+    def test_a_rejected_call_fills_no_entry(self):
+        _squeezed_vacuum.cache_clear()
+        for xp, cutoff in ((math.nan, 64), (0.0, 1), (9.0, 64)):
+            with pytest.raises((InvalidInputError, InvalidDimensionError, CutoffExceededError)):
+                circuit_kernel(xp, 0.0, SqueezeParams(0.3, 0.0), cutoff)
+        with pytest.raises(CutoffExceededError):
+            circuit_kernel(0.0, 0.0, SqueezeParams(5.0, 0.0), 64)
+        assert _squeezed_vacuum.cache_info().currsize == 0
+
+    def test_threads_sharing_the_cache_get_the_same_bits(self):
+        # more keys than entries, so threads evict each other's states
+        etas = [SqueezeParams(0.002 * k, 0.3 * (k % 3))
+                for k in range(SQUEEZED_VACUUM_CACHE_SIZE + 16)]
+        expected = [circuit_kernel(0.2, -0.3, eta, 16).hex() for eta in etas]
+        _squeezed_vacuum.cache_clear()
+        mismatches = []
+
+        def work(offset):
+            for k in range(len(etas)):
+                i = (k * 7 + offset) % len(etas)
+                if circuit_kernel(0.2, -0.3, etas[i], 16).hex() != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert _squeezed_vacuum.cache_info().currsize == SQUEEZED_VACUUM_CACHE_SIZE

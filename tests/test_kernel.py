@@ -194,6 +194,17 @@ class TestKernelConfig:
         with pytest.raises(InvalidInputError):
             KernelConfig(0.0)
 
+    def test_bool_width_fields_rejected(self):
+        # JSON true is a Python int; it must not be read as gamma or r = 1
+        with pytest.raises(TypeError, match="must be real number, not bool"):
+            KernelConfig(True)
+        with pytest.raises(TypeError, match="must be real number, not bool"):
+            KernelConfig.from_dict({"gamma": True})
+        for squeeze in ({"r": True, "theta": 0.0}, {"r": 0.3, "theta": False},
+                        {"r": "0.3", "theta": 0.0}):
+            with pytest.raises(TypeError, match="must be real number, not"):
+                KernelConfig.from_dict({"gamma": 1.0, "squeeze": squeeze})
+
     def test_dict_roundtrip(self):
         eta = SqueezeParams(0.25, 1.0)
         config = KernelConfig.from_squeeze(eta)
